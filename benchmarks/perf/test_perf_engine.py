@@ -56,15 +56,6 @@ def test_scenario_throughput(benchmark):
     )
     assert rate > 0
     assert events > 1_000  # a real scenario, not an empty run
-    assert virtual == 0  # default fidelity is packet-exact
-
-
-def test_scenario_throughput_hybrid():
-    rate, events, virtual, _wall = scenario_events_per_sec(
-        duration_s=2.0, fidelity="hybrid"
-    )
-    assert rate > 0
-    assert events > 0
-    # Hybrid mode must actually absorb work analytically on this
-    # scenario (two unbounded single-hop flows on a healthy link).
+    # Two unbounded single-hop flows on a healthy link: collapsed
+    # packet legs absorb the data-delivery dispatches.
     assert virtual > 0

@@ -18,8 +18,9 @@ from dataclasses import replace
 
 from _common import run_once, scaled
 
-from repro.core import NoiseToleranceConfig, ProteusSender
+from repro.core import NoiseToleranceConfig
 from repro.harness import EMULAB_DEFAULT, print_table
+from repro.protocols import ProteusSender
 from repro.sim import Dumbbell, Simulator, make_rng, wifi_noise
 
 ALL_ON = NoiseToleranceConfig()

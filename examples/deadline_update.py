@@ -12,8 +12,9 @@ update defends exactly the share it needs — no more.
 Run:  python examples/deadline_update.py
 """
 
-from repro.core import DeadlineThresholdPolicy, ProteusSender
+from repro.core import DeadlineThresholdPolicy
 from repro.harness import print_table
+from repro.protocols import ProteusSender
 from repro.sim import Dumbbell, Simulator, make_rng, mbps
 
 LINK_MBPS = 50.0

@@ -11,9 +11,9 @@ yield to real competition.
 Run:  python examples/wifi_noise.py
 """
 
-from repro.core import NoiseToleranceConfig, ProteusSender
+from repro.core import NoiseToleranceConfig
 from repro.harness import print_table
-from repro.protocols import BBRSender
+from repro.protocols import BBRSender, ProteusSender
 from repro.sim import Dumbbell, Simulator, make_rng, mbps, wifi_noise
 
 LINK_MBPS = 30.0

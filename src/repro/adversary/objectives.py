@@ -102,7 +102,6 @@ def _run(genome: ScenarioGenome, specs: list[FlowSpec], seed: int, max_events: i
         timeline=genome.timeline,
         topology=genome.topology,
         max_events=max_events,
-        fidelity="exact",
     )
 
 

@@ -228,7 +228,7 @@ def cmd_many(args: argparse.Namespace) -> int:
         flow_kb=args.flow_kb,
         duration_s=args.duration,
         seed=args.seed,
-        **({"topology": topology} if topology is not None else {}),
+        topology=topology,
     )
     window = result.measurement_window()
     scav = [result.throughput_mbps(i, window) for i in range(args.scavengers)]
@@ -274,7 +274,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_root=args.cache_dir,
-        fidelity=args.fidelity,
     )
     engine = record["engine"]
     cache = record["cache"]
@@ -282,7 +281,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print_table(
         ["metric", "value"],
         [
-            ("fidelity", record["fidelity"]),
             ("scenario events/sec (effective)", f"{record['events_per_sec']:,.0f}"),
             (
                 "scenario events fired/virtual",
@@ -315,7 +313,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"appended run {n_runs} to {args.out}")
     if args.profile:
         report = profile_scenario(
-            duration_s=1.5 if args.quick else 3.0, fidelity=args.fidelity
+            duration_s=1.5 if args.quick else 3.0
         )
         with open(args.profile, "w") as fh:
             fh.write(report)
@@ -840,13 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="BENCH_sim.json",
         help="trajectory history JSON; each run appends a machine-tagged entry",
-    )
-    p_bench.add_argument(
-        "--fidelity",
-        default=None,
-        choices=["exact", "hybrid"],
-        help="execution fidelity of the scenario bench "
-        "(default: REPRO_FIDELITY, else exact)",
     )
     p_bench.add_argument(
         "--profile",

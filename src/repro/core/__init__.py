@@ -14,10 +14,9 @@ The pieces of Fig 1's architecture:
 * :mod:`~repro.core.threshold` — Proteus-H's cross-layer threshold
   policy for video.
 
-The assembled sender (:class:`ProteusSender`) lives in
-:mod:`repro.protocols.proteus` with the other senders; it is still
-re-exported here — lazily, so importing ``repro.core`` never pulls the
-protocols or sim layers in.
+The assembled sender (``ProteusSender``) lives in
+:mod:`repro.protocols.proteus` with the other senders, so importing
+``repro.core`` never pulls the protocols or sim layers in.
 """
 
 from .metrics import (
@@ -60,7 +59,6 @@ __all__ = [
     "NoiseToleranceConfig",
     "NoiseTolerancePipeline",
     "PrimaryUtility",
-    "ProteusSender",
     "RateControlConfig",
     "RateController",
     "ScavengerUtility",
@@ -78,14 +76,3 @@ __all__ = [
     "rtt_gradient",
     "spawn",
 ]
-
-
-def __getattr__(name: str):
-    # ProteusSender moved to repro.protocols.proteus; forward lazily so
-    # `from repro.core import ProteusSender` keeps working without this
-    # package importing the protocols/sim layers at module scope.
-    if name == "ProteusSender":
-        from ..protocols.proteus import ProteusSender
-
-        return ProteusSender
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,7 @@ non-zero when any violation is found.  Rules (see
 ``docs/DEVTOOLS.md``):
 
 * ``no-bare-random`` — stochastic draws must come from an injected
-  :class:`repro.sim.rng.Rng`;
+  :class:`repro.core.rng.Rng`;
 * ``no-wallclock`` — no host-clock reads in ``sim/``, ``core/``,
   ``protocols/``;
 * ``no-float-eq`` — no exact equality on simulated-time/rate floats;

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from ..sim import Fidelity, Simulator, resolve_fidelity
+from ..sim import Simulator
 from . import cache as cache_mod
 from .cache import disable_cache, enable_cache, reset_cache_state
 from .parallel import default_jobs
@@ -99,18 +99,15 @@ def engine_events_per_sec(n_events: int = 200_000, fast: bool = True) -> float:
     return sim.events_fired / elapsed
 
 
-def scenario_events_per_sec(
-    duration_s: float = 6.0, fidelity: Fidelity | str | None = None
-) -> tuple[float, int, int, float]:
+def scenario_events_per_sec(duration_s: float = 6.0) -> tuple[float, int, int, float]:
     """(effective events/sec, fired, virtual, wall_s) of a real scenario.
 
     Runs live (never through the cache): the point is to measure the
     simulator, not the JSON decoder.  The rate counts *effective* events
-    ``(fired + virtual) / wall`` — in hybrid fidelity the engine absorbs
-    collapsed packet legs and paced-burst ticks into closed-form updates
-    (``Simulator.events_virtual``), and those represent real simulated
-    work that packet-exact mode would have dispatched one by one.  In
-    exact mode ``virtual == 0`` and the rate is plain fired-per-second.
+    ``(fired + virtual) / wall``: collapsed packet legs skip their
+    data-delivery dispatch (``Simulator.events_virtual``), work the
+    packet chain would have dispatched one by one, so the rate is the
+    packet-chain event count over the wall time.
     """
     config = LinkConfig(bandwidth_mbps=50.0, rtt_ms=30.0, buffer_kb=375.0)
     specs = [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)]
@@ -118,9 +115,7 @@ def scenario_events_per_sec(
     disable_cache()
     try:
         start = time.perf_counter()
-        result = run_flows(
-            specs, config, duration_s=duration_s, seed=1, fidelity=fidelity
-        )
+        result = run_flows(specs, config, duration_s=duration_s, seed=1)
         elapsed = time.perf_counter() - start
     finally:
         cache_mod._ACTIVE = saved
@@ -163,12 +158,15 @@ def scale_events_per_sec(
 
 
 def tracing_overhead(duration_s: float = 3.0) -> dict:
-    """Events/sec of the scenario bench with tracing off vs on.
+    """Effective events/sec of the scenario bench with tracing off vs on.
 
     The disabled number backs the "zero overhead when off" claim in
     ``docs/OBSERVABILITY.md`` (the hot loops guard every emit behind a
     single ``is not None`` test); the enabled number quantifies what a
     :class:`~repro.obs.CollectingTracer` costs when you do turn it on.
+    Both count ``events_fired + events_virtual``: the untraced run
+    collapses packet legs and the traced run takes the packet chain, so
+    fired events alone would make the untraced run look slower per event.
     """
     from ..obs import CollectingTracer
 
@@ -187,8 +185,8 @@ def tracing_overhead(duration_s: float = 3.0) -> dict:
     finally:
         cache_mod._ACTIVE = saved
     assert off.dumbbell is not None and on.dumbbell is not None
-    off_rate = off.dumbbell.sim.events_fired / off_wall
-    on_rate = on.dumbbell.sim.events_fired / on_wall
+    off_rate = _effective_events(off.dumbbell.sim) / off_wall
+    on_rate = _effective_events(on.dumbbell.sim) / on_wall
     return {
         "duration_s": duration_s,
         "disabled_events_per_sec": off_rate,
@@ -196,6 +194,10 @@ def tracing_overhead(duration_s: float = 3.0) -> dict:
         "trace_events": len(tracer),
         "enabled_slowdown": off_rate / on_rate if on_rate > 0 else float("inf"),
     }
+
+
+def _effective_events(sim: Simulator) -> int:
+    return sim.events_fired + sim.events_virtual
 
 
 def adversary_evals_per_sec(budget: int = 6, duration_s: float = 4.0) -> dict:
@@ -323,18 +325,8 @@ def run_bench(
     jobs: int | None = None,
     use_cache: bool = True,
     cache_root: str | Path | None = None,
-    fidelity: Fidelity | str | None = None,
 ) -> dict:
-    """Run the full benchmark suite and return the result record.
-
-    ``fidelity`` selects the execution mode of the *scenario* bench (the
-    headline events/sec number); ``None`` resolves ``REPRO_FIDELITY``
-    (exact by default), so CI can run the suite once per mode.  The
-    engine microbenchmarks are mode-independent — batched same-timestamp
-    dispatch is always on — and the figure workloads run at the same
-    mode so their wall times track what a sweep at that fidelity costs.
-    """
-    fid = resolve_fidelity(fidelity)
+    """Run the full benchmark suite and return the result record."""
     if jobs is None:
         jobs = default_jobs()
     if use_cache:
@@ -354,14 +346,12 @@ def run_bench(
         # Best of two draws: the scenario bench is a short single-process
         # run, so one unlucky scheduler preemption otherwise dominates.
         best = max(
-            (scenario_events_per_sec(scenario_duration, fidelity=fid)
-             for _ in range(2)),
+            (scenario_events_per_sec(scenario_duration) for _ in range(2)),
             key=lambda r: r[0],
         )
         events_per_sec, fired, virtual, wall = best
         scenario = {
             "duration_s": scenario_duration,
-            "fidelity": fid.mode,
             "events": fired,
             "events_virtual": virtual,
             "wall_s": wall,
@@ -392,7 +382,6 @@ def run_bench(
             "schema": SCHEMA_VERSION,
             "quick": quick,
             "jobs": jobs,
-            "fidelity": fid.mode,
             "engine": engine,
             "scenario": scenario,
             # Headline number for the CI regression gate (effective
@@ -421,11 +410,7 @@ def run_bench(
         reset_cache_state()
 
 
-def profile_scenario(
-    duration_s: float = 3.0,
-    fidelity: Fidelity | str | None = None,
-    top: int = 20,
-) -> str:
+def profile_scenario(duration_s: float = 3.0, top: int = 20) -> str:
     """cProfile the scenario bench; returns the top-*N* report as text.
 
     CI attaches this to the workflow run (``repro bench --profile``) so a
@@ -437,16 +422,15 @@ def profile_scenario(
     import io
     import pstats
 
-    fid = resolve_fidelity(fidelity)
     profiler = cProfile.Profile()
     profiler.enable()
-    scenario_events_per_sec(duration_s, fidelity=fid)
+    scenario_events_per_sec(duration_s)
     profiler.disable()
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     stats.sort_stats("cumulative").print_stats(top)
     header = (
-        f"# repro bench --profile: scenario bench, fidelity={fid.mode}, "
+        f"# repro bench --profile: scenario bench, "
         f"duration_s={duration_s}, top {top} by cumulative time\n"
     )
     return header + buf.getvalue()
@@ -488,7 +472,6 @@ def history_entry(record: dict) -> dict:
         "machine": machine_tag(),
         "schema": record.get("schema"),
         "quick": record.get("quick"),
-        "fidelity": record.get("fidelity"),
         "events_per_sec": record.get("events_per_sec"),
         "scale_events_per_sec": record.get("scale", {}).get("events_per_sec"),
         "scenario_events": scenario.get("events"),
@@ -534,10 +517,7 @@ def update_baseline(path: str | Path, record: dict) -> dict:
     to prescribe: every gated rate becomes ``measured x derate`` (the
     baseline's own ``derate`` key, default :data:`BASELINE_DERATE`),
     rounded down to the nearest 1000 events/sec.  The ``_comment`` and
-    ``derate`` keys of an existing baseline are preserved; the scenario
-    floor is written per fidelity mode — the top-level ``events_per_sec``
-    stays the packet-exact floor and hybrid runs update
-    ``fidelity.hybrid.events_per_sec`` — so one file gates both CI modes.
+    ``derate`` keys of an existing baseline are preserved.
     """
     path = Path(path)
     baseline: dict = {}
@@ -554,7 +534,7 @@ def update_baseline(path: str | Path, record: dict) -> dict:
         "(repro bench --check-against). Floors are measured rates derated "
         "by `derate` so CI-runner variance never false-positives. "
         "Regenerate with: PYTHONPATH=src python -m repro bench "
-        "--update-baseline (once per fidelity mode).",
+        "--update-baseline.",
     )
     baseline["derate"] = derate
     baseline["schema"] = record.get("schema", SCHEMA_VERSION)
@@ -568,19 +548,12 @@ def update_baseline(path: str | Path, record: dict) -> dict:
     baseline["engine"]["event_events_per_sec"] = floor(
         engine["event_events_per_sec"]
     )
-    mode = record.get("fidelity", "exact")
-    if mode == "exact":
-        baseline["events_per_sec"] = floor(record["events_per_sec"])
-        if "scale" in record:
-            baseline.setdefault("scale", {})
-            baseline["scale"]["events_per_sec"] = floor(
-                record["scale"]["events_per_sec"]
-            )
-    else:
-        baseline.setdefault("fidelity", {})
-        baseline["fidelity"][mode] = {
-            "events_per_sec": floor(record["events_per_sec"])
-        }
+    baseline["events_per_sec"] = floor(record["events_per_sec"])
+    if "scale" in record:
+        baseline.setdefault("scale", {})
+        baseline["scale"]["events_per_sec"] = floor(
+            record["scale"]["events_per_sec"]
+        )
     path.write_text(json.dumps(baseline, indent=2) + "\n")
     return baseline
 
@@ -601,34 +574,16 @@ def check_regression(
     the default :data:`REGRESSION_TOLERANCE` fractional drop — CI runs a
     second, tighter pass (``--tolerance 0.05``) with tracing disabled to
     enforce the observability layer's when-off overhead budget.
-
-    The scenario floor is fidelity-aware: a record produced in a
-    non-exact mode is compared against the baseline's
-    ``fidelity.<mode>.events_per_sec`` floor when one is committed, so a
-    hybrid CI run is held to the hybrid speedup target rather than the
-    (much lower) packet-exact floor.
     """
     if tolerance is None:
         tolerance = REGRESSION_TOLERANCE
     failures: list[str] = []
-    mode = record.get("fidelity", "exact")
-    scenario_name = "events_per_sec"
-    scenario_ref = baseline.get("events_per_sec")
-    per_mode = baseline.get("fidelity", {}).get(mode)
-    if mode != "exact" and isinstance(per_mode, dict):
-        scenario_name = f"fidelity.{mode}.events_per_sec"
-        scenario_ref = per_mode.get("events_per_sec")
-    # The scale floor is only meaningful in exact mode (run_many's
-    # bounded short flows all take the packet-exact path anyway, but a
-    # hybrid record's wall time includes hybrid scheduling overheads the
-    # exact floor was not measured under).
-    scale_ref = baseline.get("scale", {}).get("events_per_sec") if mode == "exact" else None
     checks = (
-        (scenario_name, record.get("events_per_sec"), scenario_ref),
+        ("events_per_sec", record.get("events_per_sec"), baseline.get("events_per_sec")),
         (
             "scale.events_per_sec",
             record.get("scale", {}).get("events_per_sec"),
-            scale_ref,
+            baseline.get("scale", {}).get("events_per_sec"),
         ),
         (
             "engine.fast_events_per_sec",

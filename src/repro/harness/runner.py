@@ -8,8 +8,7 @@ given its seed.
 point takes its scenario arguments positionally (the flow specs /
 protocol names and the :class:`~repro.harness.scenarios.LinkConfig`) and
 everything else — duration, seed, timeline, tracer, metrics registry —
-as keyword arguments.  Positional use of the legacy tail arguments still
-works for one release but warns ``DeprecationWarning``.
+as keyword-only arguments.
 
 **Observability** (see ``docs/OBSERVABILITY.md``): pass
 ``tracer=``/``metrics=`` (or install a process-global tracer with
@@ -23,14 +22,12 @@ shape.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import asdict, dataclass, field
 
 from ..obs import MetricsRegistry, PeriodicSampler, active_tracer
 from ..protocols import make_sender
 from ..sim import (
     Dumbbell,
-    Fidelity,
     FlowStats,
     LinkEvent,
     Rng,
@@ -38,7 +35,6 @@ from ..sim import (
     TimelineDriver,
     activate_fastforward,
     make_rng,
-    resolve_fidelity,
 )
 from .cache import active_cache, hex_floats
 from .parallel import ParallelExecutor
@@ -67,50 +63,6 @@ def reset_scale_cache() -> None:
     """Re-read ``REPRO_SCALE`` on the next :func:`scale` call (test hook)."""
     global _SCALE
     _SCALE = None
-
-
-# ----------------------------------------------------------------------
-# One-release compatibility shim for formerly-positional arguments
-# ----------------------------------------------------------------------
-_UNSET: object = object()
-"""Sentinel distinguishing "not passed" from an explicit None/value."""
-
-
-def _apply_legacy_positional(
-    fn_name: str, legacy: tuple, slots: tuple[str, ...], values: dict
-) -> None:
-    """Map deprecated positional tail arguments onto their keyword slots.
-
-    ``legacy`` holds whatever the caller passed positionally beyond the
-    scenario arguments; ``slots`` names those positions in their
-    pre-redesign order; ``values`` maps slot name -> value from the
-    keyword form (``_UNSET`` when absent).  Mutates ``values`` in place.
-    Positional use warns ``DeprecationWarning`` once per call site;
-    passing the same argument both ways raises ``TypeError`` exactly
-    like a normal double-assignment would.
-    """
-    if not legacy:
-        return
-    if len(legacy) > len(slots):
-        raise TypeError(
-            f"{fn_name}() takes at most {len(slots)} legacy positional "
-            f"argument(s) ({', '.join(slots)}), got {len(legacy)}"
-        )
-    named = ", ".join(slots[: len(legacy)])
-    warnings.warn(
-        f"passing {named} positionally to {fn_name}() is deprecated; "
-        f"use keyword arguments (e.g. {fn_name}(..., {slots[0]}=...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    for slot, value in zip(slots, legacy):
-        if values[slot] is not _UNSET:
-            raise TypeError(f"{fn_name}() got multiple values for argument {slot!r}")
-        values[slot] = value
-
-
-def _resolve(value, default):
-    return default if value is _UNSET else value
 
 
 @dataclass
@@ -257,17 +209,14 @@ def _flows_payload(
     duration_s: float,
     seed: int,
     timeline: Timeline | None = None,
-    fidelity: Fidelity | None = None,
     topology: TopologySpec | None = None,
 ) -> dict:
     """Canonical cache payload for a ``run_flows`` call.
 
     Observability arguments (tracer, metrics registry, sample period)
     never enter the payload: they observe the run, they do not change it.
-    Execution fidelity *does*: an exact and a hybrid run of the same
-    scenario are different experiments (see :mod:`repro.sim.fidelity`).
-    So does the topology spec — the same flows over a different graph
-    are a different experiment.
+    The topology spec does — the same flows over a different graph are a
+    different experiment.
     """
     return {
         "kind": "run_flows",
@@ -286,7 +235,6 @@ def _flows_payload(
         "seed": seed,
         # hex_floats: timelines differing by one ULP are different keys.
         "timeline": None if timeline is None else hex_floats(timeline.to_dict()),
-        "fidelity": resolve_fidelity(fidelity).key(),
         "topology": None if topology is None else hex_floats(topology.to_dict()),
     }
 
@@ -304,23 +252,21 @@ def _applied_events(timeline: Timeline, duration_s: float) -> list[LinkEvent]:
 def run_flows(
     specs: list[FlowSpec],
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 30.0,
+    seed: int = 1,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
     sample_period_s: float | None = None,
     max_events: int | None = None,
     max_wall_s: float | None = None,
-    fidelity: Fidelity | str | None = None,
     topology: TopologySpec | None = None,
 ) -> RunResult:
     """Run ``specs`` over a dumbbell built from ``config``.
 
-    All arguments after ``config`` are keyword-only (positional use is
-    deprecated and warns for one release).  ``duration_s`` defaults to
-    30 simulated seconds.
+    All arguments after ``config`` are keyword-only.  ``duration_s``
+    defaults to 30 simulated seconds.
 
     ``topology`` swaps the classic single-bottleneck dumbbell for a
     declarative multi-hop graph (see
@@ -350,11 +296,9 @@ def run_flows(
     as a ``timed-out`` trial.  Budgets never enter the cache key: they
     bound *how long* a run may take, not what it computes.
 
-    ``fidelity`` selects the execution-fidelity mode (see
-    :mod:`repro.sim.fidelity`): ``"exact"`` (the default), ``"hybrid"``,
-    or a :class:`~repro.sim.Fidelity` instance.  ``None`` consults the
-    ``REPRO_FIDELITY`` environment variable, so whole suites can switch
-    without touching call sites.  Fidelity *is* part of the cache key.
+    Untraced runs collapse the packet legs of eligible flows (see
+    :func:`repro.sim.activate_fastforward`); the results are the same as
+    on the packet chain, so collapse never enters the cache key.
 
     When a result cache is active (``REPRO_CACHE=1`` or
     :func:`repro.harness.cache.enable_cache`), a previously-computed run
@@ -365,24 +309,16 @@ def run_flows(
     always simulates live (observation needs the events), though its
     result is still stored for later unobserved calls.
     """
-    values = {"duration_s": duration_s, "seed": seed, "timeline": timeline}
-    _apply_legacy_positional(
-        "run_flows", legacy, ("duration_s", "seed", "timeline"), values
-    )
-    duration_s = _resolve(values["duration_s"], 30.0)
-    seed = _resolve(values["seed"], 1)
-    timeline = _resolve(values["timeline"], None)
     if not specs:
         raise ValueError("need at least one flow")
     if tracer is None:
         tracer = active_tracer()
-    fidelity = resolve_fidelity(fidelity)
     observing = tracer is not None or metrics is not None or sample_period_s is not None
     cache = active_cache()
     key = None
     if cache is not None:
         key = cache.key_for(
-            _flows_payload(specs, config, duration_s, seed, timeline, fidelity, topology)
+            _flows_payload(specs, config, duration_s, seed, timeline, topology)
         )
         if not observing:
             cached = cache.load_run(key)
@@ -397,8 +333,7 @@ def run_flows(
     result = _run_flows_live(
         specs, config, duration_s, seed, timeline,
         tracer=tracer, metrics=metrics, sample_period_s=sample_period_s,
-        max_events=max_events, max_wall_s=max_wall_s, fidelity=fidelity,
-        topology=topology,
+        max_events=max_events, max_wall_s=max_wall_s, topology=topology,
     )
     # Periodic samples depend on sample_period_s, which is not part of
     # the cache key — never store a snapshot that a later call with a
@@ -420,10 +355,9 @@ def _run_flows_live(
     sample_period_s: float | None = None,
     max_events: int | None = None,
     max_wall_s: float | None = None,
-    fidelity: Fidelity | None = None,
     topology: TopologySpec | None = None,
 ) -> RunResult:
-    sim = Simulator(tracer=tracer, fidelity=fidelity)
+    sim = Simulator(tracer=tracer)
     rng = make_rng(seed)
     if topology is not None:
         network = topology.build(sim, config, rng)
@@ -479,8 +413,8 @@ def _run_flows_live(
             )
         flows.append(flow)
         stats.append(flow.stats)
-    # Hybrid fidelity: with the whole flow set known, mark the flows
-    # whose packet legs may collapse (no-op in exact mode).
+    # With the whole flow set known, mark the flows whose packet legs
+    # may collapse (none when a tracer is attached).
     activate_fastforward(sim, flows)
     sim.run(until=duration_s, max_events=max_events, max_wall_s=max_wall_s)
     link_events = list(driver.applied) if driver is not None else []
@@ -509,13 +443,12 @@ def _run_flows_live(
 def run_single(
     protocol: str,
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 30.0,
+    seed: int = 1,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
-    fidelity: Fidelity | str | None = None,
     topology: TopologySpec | None = None,
     **kwargs,
 ) -> RunResult:
@@ -523,19 +456,14 @@ def run_single(
 
     Extra keyword arguments are forwarded to the protocol constructor.
     """
-    values = {"duration_s": duration_s, "seed": seed, "timeline": timeline}
-    _apply_legacy_positional(
-        "run_single", legacy, ("duration_s", "seed", "timeline"), values
-    )
     return run_flows(
         [FlowSpec(protocol, kwargs=kwargs)],
         config,
-        duration_s=_resolve(values["duration_s"], 30.0),
-        seed=_resolve(values["seed"], 1),
-        timeline=_resolve(values["timeline"], None),
+        duration_s=duration_s,
+        seed=seed,
+        timeline=timeline,
         tracer=tracer,
         metrics=metrics,
-        fidelity=fidelity,
         topology=topology,
     )
 
@@ -582,13 +510,12 @@ def _pair_solo_metrics(
     window: tuple[float, float],
     timeline: Timeline | None = None,
     tracer=None,
-    fidelity: Fidelity | None = None,
     topology: TopologySpec | None = None,
 ) -> tuple[float, float]:
     """Solo-baseline metrics measured over the *paired* run's window."""
     solo = run_single(
         primary, config, duration_s=duration_s, seed=seed, timeline=timeline,
-        tracer=tracer, fidelity=fidelity, topology=topology,
+        tracer=tracer, topology=topology,
     )
     return (
         solo.throughput_mbps(0, window),
@@ -605,7 +532,6 @@ def _pair_joint_metrics(
     seed: int,
     timeline: Timeline | None = None,
     tracer=None,
-    fidelity: Fidelity | None = None,
     topology: TopologySpec | None = None,
 ) -> tuple[float, float, float, float]:
     paired = run_flows(
@@ -618,7 +544,6 @@ def _pair_joint_metrics(
         seed=seed,
         timeline=timeline,
         tracer=tracer,
-        fidelity=fidelity,
         topology=topology,
     )
     window = paired.measurement_window()
@@ -634,15 +559,14 @@ def run_pair(
     primary: str,
     scavenger: str,
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    scavenger_start_s: float | None = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    jobs: int | None = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 30.0,
+    scavenger_start_s: float | None = None,
+    seed: int = 1,
+    jobs: int | None = None,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
-    fidelity: Fidelity | str | None = None,
     topology: TopologySpec | None = None,
 ) -> PairResult:
     """Primary flow joined by a scavenger; compares against the solo run.
@@ -659,27 +583,8 @@ def run_pair(
     every event reaches the caller's tracer (worker processes cannot
     stream into it).
     """
-    values = {
-        "duration_s": duration_s,
-        "scavenger_start_s": scavenger_start_s,
-        "seed": seed,
-        "jobs": jobs,
-        "timeline": timeline,
-    }
-    _apply_legacy_positional(
-        "run_pair",
-        legacy,
-        ("duration_s", "scavenger_start_s", "seed", "jobs", "timeline"),
-        values,
-    )
-    duration_s = _resolve(values["duration_s"], 30.0)
-    scavenger_start_s = _resolve(values["scavenger_start_s"], None)
-    seed = _resolve(values["seed"], 1)
-    jobs = _resolve(values["jobs"], None)
-    timeline = _resolve(values["timeline"], None)
     if tracer is None:
         tracer = active_tracer()
-    fidelity = resolve_fidelity(fidelity)
     if scavenger_start_s is None:
         scavenger_start_s = min(5.0, duration_s / 6.0)
     # The paired run's measurement window depends only on the flow start
@@ -692,12 +597,11 @@ def run_pair(
     )
     if tracer is not None:
         solo_mbps, solo_rtt = _pair_solo_metrics(
-            primary, config, duration_s, seed, window, timeline, tracer, fidelity,
-            topology,
+            primary, config, duration_s, seed, window, timeline, tracer, topology,
         )
         with_scavenger, scavenger_mbps, util, paired_rtt = _pair_joint_metrics(
             primary, scavenger, config, duration_s, scavenger_start_s, seed,
-            timeline, tracer, fidelity, topology,
+            timeline, tracer, topology,
         )
     else:
         (solo_mbps, solo_rtt), (with_scavenger, scavenger_mbps, util, paired_rtt) = (
@@ -706,7 +610,7 @@ def run_pair(
                     (
                         _pair_solo_metrics,
                         (primary, config, duration_s, seed, window, timeline,
-                         None, fidelity, topology),
+                         None, topology),
                     ),
                     (
                         _pair_joint_metrics,
@@ -719,7 +623,6 @@ def run_pair(
                             seed,
                             timeline,
                             None,
-                            fidelity,
                             topology,
                         ),
                     ),
@@ -776,11 +679,11 @@ def run_streaming(
     videos,
     protocol: str,
     config: LinkConfig,
-    *legacy,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    forced_level: int | None = _UNSET,  # type: ignore[assignment]
-    background: list[FlowSpec] | None = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
+    *,
+    duration_s: float = 60.0,
+    forced_level: int | None = None,
+    background: list[FlowSpec] | None = None,
+    seed: int = 1,
     tracer=None,
 ) -> list[StreamingResult]:
     """Stream ``videos`` concurrently over ``protocol`` (Figs 11a, 12, 13).
@@ -791,22 +694,6 @@ def run_streaming(
     """
     from ..apps.streaming import StreamingSession
 
-    values = {
-        "duration_s": duration_s,
-        "forced_level": forced_level,
-        "background": background,
-        "seed": seed,
-    }
-    _apply_legacy_positional(
-        "run_streaming",
-        legacy,
-        ("duration_s", "forced_level", "background", "seed"),
-        values,
-    )
-    duration_s = _resolve(values["duration_s"], 60.0)
-    forced_level = _resolve(values["forced_level"], None)
-    background = _resolve(values["background"], None)
-    seed = _resolve(values["seed"], 1)
     if tracer is None:
         tracer = active_tracer()
     sim = Simulator(tracer=tracer)
@@ -855,33 +742,16 @@ def run_homogeneous(
     protocol: str,
     n_flows: int,
     config: LinkConfig,
-    *legacy,
-    stagger_s: float = _UNSET,  # type: ignore[assignment]
-    measure_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    timeline: Timeline | None = _UNSET,  # type: ignore[assignment]
+    *,
+    stagger_s: float = 5.0,
+    measure_s: float = 30.0,
+    seed: int = 1,
+    timeline: Timeline | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
-    fidelity: Fidelity | str | None = None,
     topology: TopologySpec | None = None,
 ) -> RunResult:
     """``n`` same-protocol flows with staggered starts (Figs 5, 17, 18)."""
-    values = {
-        "stagger_s": stagger_s,
-        "measure_s": measure_s,
-        "seed": seed,
-        "timeline": timeline,
-    }
-    _apply_legacy_positional(
-        "run_homogeneous",
-        legacy,
-        ("stagger_s", "measure_s", "seed", "timeline"),
-        values,
-    )
-    stagger_s = _resolve(values["stagger_s"], 5.0)
-    measure_s = _resolve(values["measure_s"], 30.0)
-    seed = _resolve(values["seed"], 1)
-    timeline = _resolve(values["timeline"], None)
     if n_flows < 1:
         raise ValueError("n_flows must be positive")
     specs = [
@@ -896,7 +766,6 @@ def run_homogeneous(
         timeline=timeline,
         tracer=tracer,
         metrics=metrics,
-        fidelity=fidelity,
         topology=topology,
     )
 
@@ -909,12 +778,11 @@ def run_many(
     n_flows: int = 1000,
     n_scavengers: int = 4,
     flow_kb: float = 50.0,
-    duration_s: float = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    topology: TopologySpec | None = _UNSET,  # type: ignore[assignment]
+    duration_s: float = 30.0,
+    seed: int = 1,
+    topology: TopologySpec | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
-    fidelity: Fidelity | str | None = None,
     max_events: int | None = None,
     max_wall_s: float | None = None,
 ) -> RunResult:
@@ -923,19 +791,18 @@ def run_many(
     The datacenter-ish stress shape: ``n_flows`` short ``primary``
     transfers (default ~50 KB, roughly a web object) arrive at uniform
     random times across the run while ``n_scavengers`` unbounded
-    ``scavenger`` flows occupy the same shared core from t=0.  Default
-    topology is the ``shared-core`` multi-dumbbell preset, so arrivals
-    spread across access groups via the topology's per-index default
-    endpoints.
+    ``scavenger`` flows occupy the same shared core from t=0.  The
+    topology defaults (``None``) to the ``shared-core`` multi-dumbbell
+    preset, so arrivals spread across access groups via the topology's
+    per-index default endpoints.
 
     Arrival times come from a dedicated ``Rng("many:<seed>")`` stream —
     they are part of the flow specs, hence deterministic per seed and
     fully captured by the cache key.  Delegates to :func:`run_flows`
     for caching, observability, and jobs parity.
     """
-    duration_s = _resolve(duration_s, 30.0)
-    seed = _resolve(seed, 1)
-    topology = _resolve(topology, TOPOLOGIES["shared-core"]())
+    if topology is None:
+        topology = TOPOLOGIES["shared-core"]()
     if n_flows < 1:
         raise ValueError("n_flows must be positive")
     if n_scavengers < 0:
@@ -963,7 +830,6 @@ def run_many(
         topology=topology,
         tracer=tracer,
         metrics=metrics,
-        fidelity=fidelity,
         max_events=max_events,
         max_wall_s=max_wall_s,
     )

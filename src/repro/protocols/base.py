@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..sim import flowstate
 from ..sim.engine import Event, Simulator
 from ..sim.flow import Flow
-from ..sim.packet import ACK_BYTES, MTU_BYTES, Packet
+from ..sim.packet import MTU_BYTES, Packet
 from ..core.rng import Rng
 
 MIN_RTO_S = 0.25
@@ -145,10 +144,7 @@ class SenderBase:
         if flow.bytes_unsent < size:
             size = max(1, int(flow.bytes_unsent))
         now = self.sim.now
-        if flow.ff_collapse:
-            seq, _accepted = flow.transmit_ff(size, now)
-        else:
-            seq, _accepted = flow.transmit(size)
+        seq, _accepted = flow.transmit(size)
         self._unacked.append((seq, now, size))
         self.inflight_bytes += size
         if self._rto_event is None:
@@ -156,23 +152,6 @@ class SenderBase:
         if self._notify_sent:
             self.on_sent(seq, size)
         return True
-
-    def _transmit_one_at(self, at_s: float) -> None:
-        """Collapsed send at virtual time ``at_s`` (paced-burst path).
-
-        Only called by the hybrid burst tick, which has already verified
-        data availability, the in-flight cap, and fast-forward
-        eligibility for the whole burst window.
-        """
-        flow = self.flow
-        size = self.mss
-        if flow.bytes_unsent < size:
-            size = max(1, int(flow.bytes_unsent))
-        seq, _accepted = flow.transmit_ff(size, at_s)
-        self._unacked.append((seq, at_s, size))
-        self.inflight_bytes += size
-        self._arm_rto()
-        self.on_sent(seq, size)
 
     # ------------------------------------------------------------------
     # ACK / loss processing
@@ -319,20 +298,11 @@ class RateSender(SenderBase):
 
     min_rate_bps = 64_000.0
 
-    ff_supports_burst = True
-    """Paced senders can fast-forward whole bursts when their rate is
-    provably stable (see :meth:`ff_rate_stable_until`)."""
-
     def __init__(self, name: str = "rate", initial_rate_bps: float = 1e6):
         super().__init__(name)
         self.rate_bps = initial_rate_bps
         self.inflight_cap: float | None = None  # packets; None = uncapped
         self._tick_event: Event | None = None
-        # Armed by fidelity.activate_fastforward for eligible flows,
-        # which also sets the per-flow burst cap (full Fidelity cap on
-        # solo links, the short shared-link cap otherwise).
-        self.ff_burst_armed = False
-        self.ff_burst_cap = 1
 
     def set_rate(self, rate_bps: float, reason: str | None = None) -> None:
         """Change the pacing rate; ``reason`` tags the trace event.
@@ -401,17 +371,6 @@ class RateSender(SenderBase):
     def _schedule_tick(self, delay: float) -> None:
         self._tick_event = self.sim.schedule(delay, self._tick)
 
-    def ff_rate_stable_until(self) -> "float | None":
-        """Absolute time up to which ``rate_bps`` provably cannot change.
-
-        ``None`` means no guarantee and disables paced bursts.  The base
-        class makes no promise (``set_rate`` may be called at any time);
-        controllers that only act at scheduled boundaries — the PCC
-        family changes rate exclusively when a monitor interval closes —
-        override this with that boundary's timestamp.
-        """
-        return None
-
     def _tick(self) -> None:
         self._tick_event = None
         if self.stopped or self.paused:
@@ -423,11 +382,6 @@ class RateSender(SenderBase):
             and len(self._unacked) >= self.inflight_cap
         )
         if not capped:
-            if self.ff_burst_armed and self.flow.ff_collapse:
-                stable_until = self.ff_rate_stable_until()
-                if stable_until is not None and stable_until > self.sim.now:
-                    self._burst_tick(stable_until)
-                    return
             self._transmit_one()
         interval = self.mss * 8.0 / max(self.min_rate_bps, self.rate_bps)
         # +/-2% pacing jitter: real senders are never perfectly periodic,
@@ -436,88 +390,3 @@ class RateSender(SenderBase):
         # buffer-full race).
         interval *= 0.98 + 0.04 * self._jitter_rng.random()
         self._schedule_tick(interval)
-
-    def _burst_tick(self, stable_until: float) -> None:
-        """Fluid fast-forward: send a whole paced burst in one dispatch.
-
-        The rate is provably stable until ``stable_until``, so the send
-        times of the next packets are known now.  Each packet goes
-        through the collapsed analytic chain at its *virtual* send time;
-        the pacing ticks between them never hit the heap (counted in
-        ``events_virtual``).  The burst is bounded by the stability
-        horizon, a fraction of the smoothed RTT (cross-flow serialization
-        error stays under one RTT), an armed RTO, the configured packet
-        cap, and the links' fast-forward barriers.
-        """
-        sim = self.sim
-        flow = self.flow
-        fid = sim.fidelity
-        now = sim.now
-        horizon = stable_until
-        if self.srtt is not None:
-            rtt_cap = now + self.srtt * fid.burst_horizon_frac
-            if rtt_cap < horizon:
-                horizon = rtt_cap
-        # An armed RTO may change the rate (timeout backoff) when it
-        # fires; never burst past it.
-        if self._rto_event is not None and self._rto_event.time < horizon:
-            horizon = self._rto_event.time
-        fwd = flow.ff_fwd
-        rev = flow.ff_rev
-        limit = fwd.ff_barrier_s
-        if rev.ff_barrier_s < limit:
-            limit = rev.ff_barrier_s
-        if limit != float("inf"):
-            # The whole virtual window — the last send plus its round
-            # trip — must clear the next timeline event; around edges we
-            # degrade to per-packet sends (packet-level around edges).
-            window_end = fwd.peek_round_trip_ff(self.mss, horizon, rev, ACK_BYTES)
-            if window_end + 1e-6 >= limit:
-                horizon = now
-        interval_base = self.mss * 8.0 / max(self.min_rate_bps, self.rate_bps)
-        jitter = self._jitter_rng
-        cap = self.ff_burst_cap
-        inflight_cap = self.inflight_cap
-        # Plan the send times first (same jitter draws, in the same
-        # order, as per-packet sending would make), then try the
-        # vectorized bulk path; anything it cannot handle falls back to
-        # the per-packet reference chain.
-        times: list[float] = []
-        t = now
-        unacked = len(self._unacked)
-        while True:
-            if inflight_cap is not None and unacked + len(times) >= inflight_cap:
-                break
-            if not flow.has_data():
-                break
-            times.append(t)
-            t += interval_base * (0.98 + 0.04 * jitter.random())
-            if len(times) >= cap or t > horizon:
-                break
-        sent = len(times)
-        seqs = None
-        if fid.use_numpy:
-            seqs = flowstate.transmit_burst_ff(flow, times, self.mss)
-        if seqs is None:
-            for at_s in times:
-                self._transmit_one_at(at_s)
-        else:
-            mss = self.mss
-            append = self._unacked.append
-            for seq, at_s in zip(seqs, times):
-                append((seq, at_s, mss))
-                self.inflight_bytes += mss
-                self.on_sent(seq, mss)
-            self._arm_rto()
-        if sent > 1:
-            sim.events_virtual += sent - 1  # absorbed pacing ticks
-            if sim.tracer is not None:
-                sim.tracer.emit(
-                    "sim.fastforward",
-                    now,
-                    flow=flow.flow_id,
-                    reason="burst",
-                    packets=sent,
-                    until_s=t,
-                )
-        self._tick_event = sim.schedule_at(t, self._tick)

@@ -174,17 +174,6 @@ class ProteusSender(RateSender):
                 duration_s=mi.duration_s,
             )
 
-    def ff_rate_stable_until(self) -> float | None:
-        """Hybrid fast-forward: the send rate cannot change before the
-        monitor interval closes — every rate decision happens in
-        ``_begin_mi``, which only runs from the armed MI-close event
-        (cross-layer ``set_threshold`` and idle-restart paths also defer
-        the new rate to the next MI).  Bursting up to that boundary is
-        therefore exact with respect to pacing."""
-        if self._mi_close_event is not None:
-            return self._mi_close_event.time
-        return None
-
     def _close_mi(self) -> None:
         self._mi_close_event = None
         mi = self._current_mi

@@ -6,6 +6,8 @@ event engine, links with tail-drop FIFO buffers, random loss, latency
 noise models, flows with exact timestamp echo, and per-flow statistics.
 """
 
+from types import SimpleNamespace
+
 from .aqm import (
     CoDelDiscipline,
     DynamicLink,
@@ -24,14 +26,7 @@ from .dynamics import (
     TimelineDriver,
 )
 from .engine import Event, SimBudgetExceeded, SimulationError, Simulator
-from .fidelity import (
-    EXACT,
-    HYBRID,
-    Fidelity,
-    activate_fastforward,
-    resolve_fidelity,
-)
-from .flow import Flow, FlowReceiver, Path
+from .flow import Flow, FlowReceiver, Path, activate_fastforward
 from .invariants import InvariantChecker, InvariantError
 from .link import Link, LinkStats
 from .noise import (
@@ -42,7 +37,7 @@ from .noise import (
     wifi_noise,
 )
 from .packet import ACK_BYTES, MTU_BYTES, Packet
-from .rng import Rng, make_rng, spawn
+from ..core.rng import Rng, make_rng, spawn
 from .topology import (
     Dumbbell,
     MultiDumbbell,
@@ -52,6 +47,23 @@ from .topology import (
     mbps,
 )
 from .trace import FlowStats
+
+_PACKET_EXACT = SimpleNamespace(mode="exact")
+
+
+def resolve_fidelity(mode: str | None = None) -> SimpleNamespace:
+    """The execution mode of every run, which is always packet-exact.
+
+    Exists only for the ``fidelity`` field of the ``perfbench`` report.
+    The simulator has one execution path: collapsed packet legs (see
+    :func:`activate_fastforward`) give the same results as the packet
+    chain, so ``.mode`` is ``"exact"``.  Any other ``mode`` raises
+    ``ValueError``.
+    """
+    if mode not in (None, "exact"):
+        raise ValueError(f"unknown fidelity mode {mode!r}; only 'exact' exists")
+    return _PACKET_EXACT
+
 
 __all__ = [
     "ACK_BYTES",
@@ -71,15 +83,12 @@ __all__ = [
     "step_rate",
     "DynamicsError",
     "DynamicsLog",
-    "EXACT",
     "Event",
-    "Fidelity",
     "Flow",
     "FlowReceiver",
     "FlowStats",
     "GaussianJitter",
     "GilbertElliott",
-    "HYBRID",
     "LinkEvent",
     "TimelineDriver",
     "InvariantChecker",

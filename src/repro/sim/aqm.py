@@ -249,8 +249,8 @@ class DynamicLink:
     """
 
     # Event-based queue state cannot be advanced analytically: flows
-    # whose path crosses a DynamicLink must stay packet-exact even in
-    # hybrid fidelity (see repro.sim.fidelity.activate_fastforward).
+    # whose path crosses a DynamicLink never collapse their packet legs
+    # (see repro.sim.flow.activate_fastforward).
     can_fastforward = False
 
     def __init__(

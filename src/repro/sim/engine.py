@@ -190,12 +190,6 @@ class Simulator:
             default) keeps every emission site on its single-branch
             no-op path; the event loop itself never touches the tracer,
             so the unbudgeted hot loop is byte-for-byte unchanged.
-        fidelity: Execution-fidelity mode — a
-            :class:`repro.sim.fidelity.Fidelity`, a mode name, or
-            ``None`` to consult ``REPRO_FIDELITY`` (default ``exact``).
-            The engine itself only stores the resolved mode; links and
-            senders consult ``sim.fidelity`` to decide whether the
-            hybrid fast-forward paths are allowed to engage.
 
     >>> sim = Simulator()
     >>> fired = []
@@ -210,21 +204,21 @@ class Simulator:
         check_invariants: bool | None = None,
         *,
         tracer: "Any | None" = None,
-        fidelity: "Any | None" = None,
     ) -> None:
-        from .fidelity import resolve_fidelity
-
         self.now: float = 0.0
         self.tracer = tracer
-        self.fidelity = resolve_fidelity(fidelity)
+        # ``until`` of the current (or last) run() call; collapsed packet
+        # legs never reach past it (see repro.sim.flow.Flow.transmit).
+        self.horizon_s: float = float("inf")
         self._heap: list[tuple] = []
         self._seq: int = 0
         self._running = False
         self._cancelled = 0
         self.events_fired: int = 0
-        # Events whose effects were applied analytically (fast-forward)
-        # without a heap dispatch.  ``events_fired + events_virtual`` is
-        # the packet-exact-equivalent event count of a hybrid run.
+        # Data-delivery dispatches skipped by collapsed packet legs (see
+        # repro.sim.flow.activate_fastforward).  ``events_fired +
+        # events_virtual`` is the event count of the same run on the
+        # packet chain.
         self.events_virtual: int = 0
         if check_invariants is None:
             check_invariants = os.environ.get("REPRO_CHECK_INVARIANTS", "") not in (
@@ -385,6 +379,7 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        self.horizon_s = float("inf") if until is None else until
         inv = self.invariants
         tracer = self.tracer
         if tracer is not None:

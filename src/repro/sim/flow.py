@@ -112,53 +112,6 @@ class FlowReceiver:
         flow.reverse_path.send(ack, flow.sender_endpoint)
         flow.check_complete()
 
-    def receive_ff(self, packet: Packet, at_s: float) -> None:
-        """Collapsed delivery at virtual time ``at_s`` (hybrid fidelity).
-
-        Runs the same bookkeeping as :meth:`receive` with the clock read
-        replaced by the analytic delivery time, sends the ACK through the
-        reverse link analytically, and schedules the *one* real event of
-        the collapsed chain: the ACK arriving back at the sender.  Only
-        reachable for flows without completion/delivery callbacks (see
-        ``fidelity.activate_fastforward``), so those hooks are skipped.
-        """
-        flow = self.flow
-        sim = flow.sim
-        flow.stats.record_delivery(at_s, packet.size_bytes)
-        self._ack_seq += 1
-        ack = Packet(
-            flow_id=flow.flow_id,
-            seq=self._ack_seq,
-            size_bytes=ACK_BYTES,
-            sent_time=at_s,
-            is_ack=True,
-            data_seq=packet.seq,
-            data_sent_time=packet.sent_time,
-            data_recv_time=at_s,
-        )
-        # The skipped data-delivery dispatch, whether or not the ACK
-        # also survives the reverse link.
-        sim.events_virtual += 1
-        ack_at = flow.ff_rev.send_ff(ack, at_s)
-        if ack_at is not None:
-            # Inlined schedule_fast_at: ack_at >= at_s >= sim.now (link
-            # delivery times never precede the send), so the past-time
-            # clamp can never trigger on this path.
-            sim._seq += 1
-            heapq.heappush(
-                sim._heap,
-                (ack_at, sim._seq, flow.sender.handle_ack_packet, (ack,), None),
-            )
-        if sim.tracer is not None:
-            sim.tracer.emit(
-                "sim.fastforward",
-                at_s,
-                flow=flow.flow_id,
-                reason="collapse",
-                seq=packet.seq,
-                ack_at_s=ack_at,
-            )
-
 
 class _SenderEndpoint:
     """Sender-side ACK sink; dispatches to the congestion controller."""
@@ -223,10 +176,9 @@ class Flow:
             sim.invariants.register_flow(self)
         self.completed = False
         self._next_seq = 0
-        # Hybrid-fidelity collapse flag; set by
-        # ``fidelity.activate_fastforward`` once the whole flow set is
-        # known (eligibility is a property of every flow sharing a link,
-        # not of one flow alone).  Always False in packet-exact mode.
+        # Collapse flag; set by :func:`activate_fastforward` once the
+        # whole flow set is known (eligibility is a property of every
+        # flow sharing a link, not of one flow alone).
         # ``ff_fwd``/``ff_rev`` cache the first hop of each path — for a
         # collapsed flow (single-hop by eligibility) they are *the* links,
         # saving two path traversals per packet on the hot path.
@@ -264,59 +216,37 @@ class Flow:
         ``accepted`` is False when the first hop tail-dropped the packet.
         The sender still tracks the sequence number so the drop is detected
         like any other loss (via the ACK gap).
-        """
-        self._next_seq += 1
-        seq = self._next_seq
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size_bytes=size_bytes,
-            sent_time=self.sim.now,
-        )
-        self.stats.record_send()
-        if self.bytes_unsent != float("inf"):
-            self.bytes_unsent -= size_bytes
-        accepted = self.forward_path.send(packet, self.receiver)
-        return seq, accepted
 
-    def transmit_ff(self, size_bytes: int, at_s: float) -> tuple[int, bool]:
-        """Collapsed transmit at virtual time ``at_s`` (hybrid fidelity).
+        A collapsed flow (see :func:`activate_fastforward`) admits the
+        packet to its forward link exactly as the packet chain does.
+        Then, instead of scheduling the delivery, it runs the receiver
+        bookkeeping and the ACK's reverse-link admission at once, at the
+        delivery time, and schedules the one event of the round trip: the
+        ACK arriving at the sender.  The packet takes the packet chain
+        when that reverse admission could land in a different order or
+        state than the chain's would: on a link that draws randomness or
+        is down, at or past the reverse link's next timeline event or the
+        run horizon, or while an earlier packet-chain delivery on the link
+        is still pending.
 
-        Sends the data packet analytically through the (single-link)
-        forward path and runs the receiver + ACK chain inline; the only
-        heap event of the whole round trip is the ACK arriving back at
-        the sender.  When a link's fast-forward barrier (pending timeline
-        event) would be crossed by the packet's virtual window — and the
-        send is happening at the real clock, so falling back is still
-        possible — the packet takes the packet-exact path instead.
-
-        For healthy static links with no tracer attached the whole
-        chain — both link legs, the receiver bookkeeping, and the ACK
-        scheduling — is fused inline below with no intermediate packet
-        object; the arithmetic is identical to ``Link.send_ff`` +
-        ``FlowReceiver.receive_ff``, which remain the reference (and
-        only) path whenever a link needs per-packet decisions.
-
-        Returns ``(seq, accepted)`` exactly like :meth:`transmit`.
+        Both collapsed link legs are :meth:`Link.admit` inlined for a
+        static link with no tracer (collapse requires both): the same
+        arithmetic in the same order, without the per-packet calls and
+        data packet object, which the Fig-6 sweep pays for on every
+        packet.
         """
         sim = self.sim
-        fwd = self.ff_fwd
-        rev = self.ff_rev
-        limit = fwd.ff_barrier_s
-        if rev.ff_barrier_s < limit:
-            limit = rev.ff_barrier_s
-        if limit != _INF:
-            ack_at = fwd.peek_round_trip_ff(size_bytes, at_s, rev, ACK_BYTES)
-            if ack_at + 1e-6 >= limit and at_s <= sim.now:
-                return self.transmit(size_bytes)
+        now = sim.now
         self._next_seq += 1
         seq = self._next_seq
         stats = self.stats
         stats.packets_sent += 1  # record_send, inlined
         if self.bytes_unsent != _INF:
             self.bytes_unsent -= size_bytes
-        if (
-            sim.tracer is None
+        fwd = self.ff_fwd
+        rev = self.ff_rev
+        if not (
+            self.ff_collapse
             and fwd.loss_model is None
             and fwd.noise is None
             and fwd.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
@@ -326,84 +256,87 @@ class Flow:
             and rev.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
             and not rev._down
         ):
-            # ---- forward leg (Link.send_ff fast path, inlined) ----
-            fwd_stats = fwd.stats
-            fwd_stats.offered += 1
-            bw = fwd.bandwidth_bps
-            busy = fwd._busy_until
-            occupancy = (
-                (busy - at_s) * bw / 8.0 if busy > at_s else 0.0
-            ) + size_bytes
-            if occupancy > fwd.buffer_bytes + 1e-6:
-                fwd_stats.tail_drops += 1
-                return seq, False
-            if occupancy > fwd_stats.max_backlog_bytes:
-                fwd_stats.max_backlog_bytes = occupancy
-            start = busy if busy > at_s else at_s
-            fwd._busy_until = busy = start + size_bytes * 8.0 / bw
-            deliver_at = busy + fwd.delay_s
-            if deliver_at <= fwd._last_delivery:
-                deliver_at = fwd._last_delivery + 1e-9
-            fwd._last_delivery = deliver_at
-            fwd_stats.delivered += 1
-            # ---- receiver bookkeeping (receive_ff, inlined) ----
-            stats.delivered_bytes += size_bytes
-            if stats.first_delivery is None:
-                stats.first_delivery = deliver_at
-            stats.last_delivery = deliver_at
-            receiver = self.receiver
-            receiver._ack_seq += 1
-            # The skipped data-delivery dispatch, whether or not the ACK
-            # also survives the reverse link.
-            sim.events_virtual += 1
-            # ---- reverse (ACK) leg ----
-            rev_stats = rev.stats
-            rev_stats.offered += 1
-            bw = rev.bandwidth_bps
-            busy = rev._busy_until
-            occupancy = (
-                (busy - deliver_at) * bw / 8.0 if busy > deliver_at else 0.0
-            ) + ACK_BYTES
-            if occupancy > rev.buffer_bytes + 1e-6:
-                rev_stats.tail_drops += 1
-                return seq, True
-            if occupancy > rev_stats.max_backlog_bytes:
-                rev_stats.max_backlog_bytes = occupancy
-            start = busy if busy > deliver_at else deliver_at
-            rev._busy_until = busy = start + ACK_BYTES * 8.0 / bw
-            ack_arrive = busy + rev.delay_s
-            if ack_arrive <= rev._last_delivery:
-                ack_arrive = rev._last_delivery + 1e-9
-            rev._last_delivery = ack_arrive
-            rev_stats.delivered += 1
-            ack = Packet(
-                flow_id=self.flow_id,
-                seq=receiver._ack_seq,
-                size_bytes=ACK_BYTES,
-                sent_time=deliver_at,
-                is_ack=True,
-                data_seq=seq,
-                data_sent_time=at_s,
-                data_recv_time=deliver_at,
+            packet = Packet(
+                flow_id=self.flow_id, seq=seq, size_bytes=size_bytes, sent_time=now
             )
-            # Inlined schedule_fast_at: ack_arrive >= at_s >= sim.now,
-            # so the past-time clamp can never trigger on this path.
-            sim._seq += 1
-            heapq.heappush(
-                sim._heap,
-                (ack_arrive, sim._seq, self.sender.handle_ack_packet, (ack,), None),
-            )
-            return seq, True
-        packet = Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size_bytes=size_bytes,
-            sent_time=at_s,
-        )
-        deliver_at = fwd.send_ff(packet, at_s)
-        if deliver_at is None:
+            if not self.ff_collapse:
+                return seq, self.forward_path.send(packet, self.receiver)
+            accepted = fwd.send(packet, self.receiver)
+            fwd.ff_hold_s = fwd._last_delivery
+            return seq, accepted
+        # ---- forward leg ----
+        fwd_stats = fwd.stats
+        fwd_stats.offered += 1
+        bw = fwd.bandwidth_bps
+        busy = fwd._busy_until
+        backlog = (busy - now) * bw / 8.0 if busy > now else 0.0
+        if backlog + size_bytes > fwd.buffer_bytes + 1e-6:
+            fwd_stats.tail_drops += 1
             return seq, False
-        self.receiver.receive_ff(packet, deliver_at)
+        if backlog + size_bytes > fwd_stats.max_backlog_bytes:
+            fwd_stats.max_backlog_bytes = backlog + size_bytes
+        start = busy if busy > now else now
+        fwd._busy_until = busy = start + size_bytes * 8.0 / bw
+        deliver_at = busy + fwd.delay_s
+        if deliver_at <= fwd._last_delivery:
+            deliver_at = fwd._last_delivery + 1e-9
+        fwd._last_delivery = deliver_at
+        fwd_stats.delivered += 1
+        if not (
+            deliver_at < rev.ff_barrier_s
+            and deliver_at < sim.horizon_s
+            and now > fwd.ff_hold_s
+        ):
+            fwd.ff_hold_s = deliver_at
+            packet = Packet(
+                flow_id=self.flow_id, seq=seq, size_bytes=size_bytes, sent_time=now
+            )
+            sim.schedule_fast_at(deliver_at, self.receiver.receive, packet)
+            return seq, True
+        # ---- receiver (FlowReceiver.receive at deliver_at) ----
+        stats.delivered_bytes += size_bytes  # record_delivery, inlined
+        if stats.first_delivery is None:
+            stats.first_delivery = deliver_at
+        stats.last_delivery = deliver_at
+        receiver = self.receiver
+        receiver._ack_seq += 1
+        # The skipped data-delivery dispatch, whether or not the ACK
+        # also survives the reverse link.
+        sim.events_virtual += 1
+        # ---- reverse (ACK) leg, admitted at deliver_at ----
+        rev_stats = rev.stats
+        rev_stats.offered += 1
+        bw = rev.bandwidth_bps
+        busy = rev._busy_until
+        backlog = (busy - deliver_at) * bw / 8.0 if busy > deliver_at else 0.0
+        if backlog + ACK_BYTES > rev.buffer_bytes + 1e-6:
+            rev_stats.tail_drops += 1
+            return seq, True
+        if backlog + ACK_BYTES > rev_stats.max_backlog_bytes:
+            rev_stats.max_backlog_bytes = backlog + ACK_BYTES
+        start = busy if busy > deliver_at else deliver_at
+        rev._busy_until = busy = start + ACK_BYTES * 8.0 / bw
+        ack_at = busy + rev.delay_s
+        if ack_at <= rev._last_delivery:
+            ack_at = rev._last_delivery + 1e-9
+        rev._last_delivery = ack_at
+        rev_stats.delivered += 1
+        ack = Packet(
+            flow_id=self.flow_id,
+            seq=receiver._ack_seq,
+            size_bytes=ACK_BYTES,
+            sent_time=deliver_at,
+            is_ack=True,
+            data_seq=seq,
+            data_sent_time=now,
+            data_recv_time=deliver_at,
+        )
+        # schedule_fast_at, inlined: ack_at > deliver_at > now, so its
+        # past-time clamp can never trigger here.
+        sim._seq += 1
+        heapq.heappush(
+            sim._heap, (ack_at, sim._seq, self.sender.handle_ack_packet, (ack,), None)
+        )
         return seq, True
 
     def requeue_bytes(self, nbytes: int) -> None:
@@ -441,3 +374,71 @@ class Flow:
             self.forward_path.min_base_delay()
             + self.reverse_path.min_base_delay()
         )
+
+
+def activate_fastforward(sim: Simulator, flows) -> int:
+    """Collapse the packet legs of every eligible flow; returns the count.
+
+    A collapsed flow computes each packet's data delivery and the ACK's
+    reverse-link admission when the packet is sent, so one engine event
+    fires per round trip instead of two.  Must be called after the
+    *entire* flow set of a scenario exists: eligibility is a property of
+    all flows sharing a link, not of one flow alone.  A flow may
+    collapse when
+
+    * no tracer is attached to ``sim`` (a traced run takes the packet
+      chain, so traces keep per-hop ``link.*`` events in timestamp order;
+      the numbers are the same either way),
+    * it is unbounded and not chunked (no completion bookkeeping rides
+      on delivery timing) and has no ``on_delivery`` callback,
+    * its forward and reverse paths are single-hop and every link on
+      them supports the analytic collapse (``can_fastforward`` — true
+      for the analytic ``Link``, false for the event-based
+      ``DynamicLink``, whose explicit queue cannot be advanced in
+      closed form), and
+    * **every** flow using its links is itself collapse-capable and uses
+      the same forward and reverse link.  The collapsed ACK admission
+      runs ahead of the clock; it lands in packet-chain order only when
+      the reverse link's arrivals are the departures of one FIFO
+      forward link.
+    """
+    if sim.tracer is not None:
+        return 0
+    flows = list(flows)
+
+    def eligible(flow: Flow) -> bool:
+        return (
+            flow.bytes_unsent == _INF
+            and flow.on_delivery is None
+            and not flow.completed
+            and len(flow.forward_path.links) == 1
+            and len(flow.reverse_path.links) == 1
+            and all(
+                getattr(link, "can_fastforward", False)
+                for link in (flow.ff_fwd, flow.ff_rev)
+            )
+        )
+
+    capable = {id(flow): eligible(flow) for flow in flows}
+    users: dict[int, list[Flow]] = {}
+    for flow in flows:
+        for link in (*flow.forward_path.links, *flow.reverse_path.links):
+            users.setdefault(id(link), []).append(flow)
+    link_ok = {
+        link_id: all(
+            capable[id(flow)]
+            and flow.ff_fwd is sharing[0].ff_fwd
+            and flow.ff_rev is sharing[0].ff_rev
+            for flow in sharing
+        )
+        for link_id, sharing in users.items()
+    }
+    enabled = 0
+    for flow in flows:
+        flow.ff_collapse = (
+            capable[id(flow)]
+            and link_ok[id(flow.ff_fwd)]
+            and link_ok[id(flow.ff_rev)]
+        )
+        enabled += flow.ff_collapse
+    return enabled

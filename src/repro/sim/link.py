@@ -29,6 +29,9 @@ from .noise import NoiseModel
 from .packet import Packet
 from ..core.rng import Rng
 
+_NEVER = float("inf")
+"""Delivery time :meth:`Link.admit` reports for a packet lost on the wire."""
+
 
 class Receiver(Protocol):
     """Anything that can accept delivered packets."""
@@ -87,8 +90,8 @@ class Link:
         rng: RNG used for loss and noise draws.
     """
 
-    # The analytic link supports the hybrid-fidelity collapsed-send path
-    # (``send_ff``/``peek_round_trip_ff``); event-based links do not.
+    # The analytic link can carry collapsed packet legs (its delivery
+    # time is a closed-form value of ``admit``); event-based links cannot.
     can_fastforward = True
 
     def __init__(
@@ -129,12 +132,14 @@ class Link:
         self._busy_until = 0.0
         self._last_delivery = 0.0
         self._down = False
-        # Hybrid-fidelity fast-forward state (see repro.sim.fidelity).
+        # Collapsed-leg state (see repro.sim.flow.activate_fastforward).
         # ``ff_barrier_s`` is the next time at which this link's behaviour
-        # changes (timeline event); analytic sends whose virtual window
-        # would cross it fall back to packet-exact delivery.  Maintained
-        # by the TimelineDriver; ``inf`` on static links.
+        # changes (timeline event), maintained by the TimelineDriver;
+        # ``inf`` on static links.  ``ff_hold_s`` is the latest delivery
+        # time of a packet that took the packet chain while collapse was
+        # active on this link.
         self.ff_barrier_s = float("inf")
+        self.ff_hold_s = float("-inf")
         if sim.invariants is not None:
             sim.invariants.register_link(self)
 
@@ -202,30 +207,54 @@ class Link:
         Returns True if the packet was accepted (it may still be randomly
         lost on the wire) and False on a tail drop or outage drop.
         """
-        now = self.sim.now
+        deliver_at = self.admit(packet, self.sim.now)
+        if deliver_at is None:
+            return False
+        if deliver_at != _NEVER:
+            # Deliveries are fire-and-forget and dominate the heap; the
+            # fast path skips the cancellable-Event allocation entirely.
+            self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
+        return True
+
+    def admit(self, packet: Packet, at_s: float) -> "float | None":
+        """Offer ``packet`` to the link at time ``at_s``; no event is scheduled.
+
+        The link's one admission routine: counters, queue update, loss
+        and noise draws and ``link.*`` trace events.  Returns the delivery
+        time, ``inf`` when the packet was accepted but lost on the wire,
+        or ``None`` on a tail or outage drop.  :meth:`send` schedules the
+        delivery.  ``Flow.transmit`` inlines this routine for the
+        collapsed packet legs of static links (see
+        :func:`repro.sim.flow.activate_fastforward`), the ACK leg with
+        ``at_s`` ahead of the clock; the two must stay the same
+        arithmetic in the same order.
+        """
         tracer = self.sim.tracer
-        self.stats.offered += 1
+        stats = self.stats
+        stats.offered += 1
         if self._down:
-            self.stats.outage_drops += 1
+            stats.outage_drops += 1
             if tracer is not None:
                 tracer.emit(
                     "link.drop",
-                    now,
+                    at_s,
                     flow=packet.flow_id,
                     link=self.name,
                     node=self.node,
                     reason="outage",
                     seq=packet.seq,
                 )
-            return False
-        backlog = max(0.0, self._busy_until - now) * self.bandwidth_bps / 8.0
+            return None
+        size = packet.size_bytes
+        busy = self._busy_until
+        backlog = (busy - at_s) * self.bandwidth_bps / 8.0 if busy > at_s else 0.0
         # Epsilon absorbs float error in the analytic backlog computation.
-        if backlog + packet.size_bytes > self.buffer_bytes + 1e-6:
-            self.stats.tail_drops += 1
+        if backlog + size > self.buffer_bytes + 1e-6:
+            stats.tail_drops += 1
             if tracer is not None:
                 tracer.emit(
                     "link.drop",
-                    now,
+                    at_s,
                     flow=packet.flow_id,
                     link=self.name,
                     node=self.node,
@@ -233,238 +262,62 @@ class Link:
                     seq=packet.seq,
                     backlog_bytes=backlog,
                 )
-            return False
+            return None
         # Peak occupancy includes the packet just accepted.
-        if backlog + packet.size_bytes > self.stats.max_backlog_bytes:
-            self.stats.max_backlog_bytes = backlog + packet.size_bytes
+        if backlog + size > stats.max_backlog_bytes:
+            stats.max_backlog_bytes = backlog + size
 
-        start = self._busy_until if self._busy_until > now else now
-        self._busy_until = start + packet.size_bytes * 8.0 / self.bandwidth_bps
+        start = busy if busy > at_s else at_s
+        self._busy_until = busy = start + size * 8.0 / self.bandwidth_bps
         if tracer is not None:
             tracer.emit(
                 "link.enqueue",
-                now,
+                at_s,
                 flow=packet.flow_id,
                 link=self.name,
                 node=self.node,
                 seq=packet.seq,
-                size_bytes=packet.size_bytes,
-                backlog_bytes=backlog + packet.size_bytes,
+                size_bytes=size,
+                backlog_bytes=backlog + size,
             )
 
         if self.loss_model is not None:
             # The packet still consumed transmitter time, but never arrives.
-            if self.loss_model.is_lost(self.rng):
-                self.stats.random_losses += 1
-                if tracer is not None:
-                    tracer.emit(
-                        "link.drop",
-                        now,
-                        flow=packet.flow_id,
-                        link=self.name,
-                    node=self.node,
-                        reason="wire",
-                        seq=packet.seq,
-                    )
-                return True
-        elif self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stats.random_losses += 1
+            lost = self.loss_model.is_lost(self.rng)
+        else:
+            lost = self.loss_rate > 0.0 and self.rng.random() < self.loss_rate
+        if lost:
+            stats.random_losses += 1
             if tracer is not None:
                 tracer.emit(
                     "link.drop",
-                    now,
+                    at_s,
                     flow=packet.flow_id,
                     link=self.name,
                     node=self.node,
                     reason="wire",
                     seq=packet.seq,
                 )
-            return True
+            return _NEVER
 
-        deliver_at = self._busy_until + self.delay_s
+        deliver_at = busy + self.delay_s
         if self.noise is not None:
-            deliver_at += self.noise.sample(now, self.rng)
+            deliver_at += self.noise.sample(at_s, self.rng)
         # FIFO even under noise and mid-run rate/delay changes: never
         # deliver before an earlier packet.
         if deliver_at <= self._last_delivery:
             deliver_at = self._last_delivery + 1e-9
         self._last_delivery = deliver_at
-        self.stats.delivered += 1
+        stats.delivered += 1
         if tracer is not None:
             tracer.emit(
                 "link.dequeue",
-                now,
+                at_s,
                 flow=packet.flow_id,
                 link=self.name,
                 node=self.node,
                 seq=packet.seq,
-                depart_s=self._busy_until,
-                deliver_at_s=deliver_at,
-            )
-        # Deliveries are fire-and-forget and dominate the heap; the fast
-        # path skips the cancellable-Event allocation entirely.
-        self.sim.schedule_fast_at(deliver_at, dst.receive, packet)
-        return True
-
-    def send_ff(self, packet: Packet, at_s: float) -> "float | None":
-        """Analytic send at virtual time ``at_s``: no delivery event.
-
-        The hybrid-fidelity collapse path (see :mod:`repro.sim.fidelity`)
-        runs the receiver's bookkeeping inline instead of scheduling a
-        delivery, so it needs the delivery timestamp as a value.  This is
-        :meth:`send` with the clock read replaced by ``at_s`` and the
-        final ``schedule_fast_at`` dropped — every counter, queue update,
-        RNG draw, and trace emission is the same computation in the same
-        order.  Returns the delivery time, or ``None`` when the packet
-        never arrives (outage, tail drop, or wire loss).
-
-        Callers are responsible for fast-forward eligibility: ``at_s``
-        at or after this link's ``ff_barrier_s`` is a contract violation
-        (the link's parameters may change at the barrier).
-        """
-        tracer = self.sim.tracer
-        if (
-            tracer is None
-            and self.loss_model is None
-            and self.noise is None
-            and self.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
-            and not self._down
-        ):
-            # Healthy static link, nobody watching: the arithmetic-only
-            # spine of the general path below (same results, no draws to
-            # keep in step because there are none).
-            stats = self.stats
-            stats.offered += 1
-            bw = self.bandwidth_bps
-            busy = self._busy_until
-            size = packet.size_bytes
-            occupancy = (
-                (busy - at_s) * bw / 8.0 if busy > at_s else 0.0
-            ) + size
-            if occupancy > self.buffer_bytes + 1e-6:
-                stats.tail_drops += 1
-                return None
-            if occupancy > stats.max_backlog_bytes:
-                stats.max_backlog_bytes = occupancy
-            start = busy if busy > at_s else at_s
-            self._busy_until = busy = start + size * 8.0 / bw
-            deliver_at = busy + self.delay_s
-            if deliver_at <= self._last_delivery:
-                deliver_at = self._last_delivery + 1e-9
-            self._last_delivery = deliver_at
-            stats.delivered += 1
-            return deliver_at
-        now = at_s
-        self.stats.offered += 1
-        if self._down:
-            self.stats.outage_drops += 1
-            if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="outage",
-                    seq=packet.seq,
-                )
-            return None
-        backlog = max(0.0, self._busy_until - now) * self.bandwidth_bps / 8.0
-        if backlog + packet.size_bytes > self.buffer_bytes + 1e-6:
-            self.stats.tail_drops += 1
-            if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="tail",
-                    seq=packet.seq,
-                    backlog_bytes=backlog,
-                )
-            return None
-        if backlog + packet.size_bytes > self.stats.max_backlog_bytes:
-            self.stats.max_backlog_bytes = backlog + packet.size_bytes
-
-        start = self._busy_until if self._busy_until > now else now
-        self._busy_until = start + packet.size_bytes * 8.0 / self.bandwidth_bps
-        if tracer is not None:
-            tracer.emit(
-                "link.enqueue",
-                now,
-                flow=packet.flow_id,
-                link=self.name,
-                node=self.node,
-                seq=packet.seq,
-                size_bytes=packet.size_bytes,
-                backlog_bytes=backlog + packet.size_bytes,
-            )
-
-        if self.loss_model is not None:
-            if self.loss_model.is_lost(self.rng):
-                self.stats.random_losses += 1
-                if tracer is not None:
-                    tracer.emit(
-                        "link.drop",
-                        now,
-                        flow=packet.flow_id,
-                        link=self.name,
-                    node=self.node,
-                        reason="wire",
-                        seq=packet.seq,
-                    )
-                return None
-        elif self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stats.random_losses += 1
-            if tracer is not None:
-                tracer.emit(
-                    "link.drop",
-                    now,
-                    flow=packet.flow_id,
-                    link=self.name,
-                    node=self.node,
-                    reason="wire",
-                    seq=packet.seq,
-                )
-            return None
-
-        deliver_at = self._busy_until + self.delay_s
-        if self.noise is not None:
-            deliver_at += self.noise.sample(now, self.rng)
-        if deliver_at <= self._last_delivery:
-            deliver_at = self._last_delivery + 1e-9
-        self._last_delivery = deliver_at
-        self.stats.delivered += 1
-        if tracer is not None:
-            tracer.emit(
-                "link.dequeue",
-                now,
-                flow=packet.flow_id,
-                link=self.name,
-                node=self.node,
-                seq=packet.seq,
-                depart_s=self._busy_until,
+                depart_s=busy,
                 deliver_at_s=deliver_at,
             )
         return deliver_at
-
-    def peek_round_trip_ff(
-        self, size_bytes: int, at_s: float, reverse: "Link", ack_bytes: int
-    ) -> float:
-        """Upper bound on the ACK arrival of a packet sent at ``at_s``.
-
-        A dry run of the noise-free :meth:`send_ff` chain through this
-        link and ``reverse`` — no state is mutated.  The collapse path
-        compares this against the links' fast-forward barriers before
-        committing to an analytic send.
-        """
-        start = self._busy_until if self._busy_until > at_s else at_s
-        deliver = start + size_bytes * 8.0 / self.bandwidth_bps + self.delay_s
-        if deliver <= self._last_delivery:
-            deliver = self._last_delivery + 1e-9
-        start = reverse._busy_until if reverse._busy_until > deliver else deliver
-        ack_at = start + ack_bytes * 8.0 / reverse.bandwidth_bps + reverse.delay_s
-        if ack_at <= reverse._last_delivery:
-            ack_at = reverse._last_delivery + 1e-9
-        return ack_at

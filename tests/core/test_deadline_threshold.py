@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DeadlineThresholdPolicy, ProteusSender
+from repro.core import DeadlineThresholdPolicy
+from repro.protocols import ProteusSender
 from repro.sim import Dumbbell, Simulator, make_rng, mbps
 
 

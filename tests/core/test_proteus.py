@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import HybridUtility, ProteusSender, ScavengerUtility
+from repro.core import HybridUtility, ScavengerUtility
 from repro.core.noise_tolerance import NoiseToleranceConfig
-from repro.protocols import CubicSender, make_sender
+from repro.protocols import CubicSender, ProteusSender, make_sender
 from repro.sim import Dumbbell, Simulator, make_rng, mbps, wifi_noise
 
 

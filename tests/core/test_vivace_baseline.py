@@ -9,7 +9,7 @@ majority rule or the adaptive tolerance pipeline.
 from repro.core.noise_tolerance import NoiseToleranceConfig
 from repro.core.utility import VivaceUtility
 from repro.protocols import VivaceSender, make_sender
-from repro.core import ProteusSender
+from repro.protocols import ProteusSender
 
 
 def test_vivace_uses_original_utility():

@@ -1,66 +1,70 @@
-"""Hybrid-fidelity unit and integration tests.
+"""Collapsed packet legs: eligibility, accounting and the differential gate.
 
-Covers the :mod:`repro.sim.fidelity` configuration surface, the
-all-or-nothing per-link eligibility rule of ``activate_fastforward``,
-the ``sim.fastforward`` tracepoints, the virtual-event accounting, and
-the numpy-vs-pure-Python burst planner parity.  The statistical
-closeness of hybrid results to packet-exact on paper scenarios is pinned
-separately in ``tests/test_fidelity_acceptance.py``.
+The simulator has one execution path.  Untraced runs collapse the packet
+legs of eligible flows (``repro.sim.activate_fastforward``); a traced
+run takes the packet chain.  Collapse is bit-exact, so the gate here is
+equality, not a tolerance: an untraced and a traced run of the same
+scenario must agree on the stats digest, every link's counters and the
+metrics snapshot.  ``resolve_fidelity`` survives only as the constant
+"exact" mode name.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness import EMULAB_DEFAULT, FlowSpec, run_flows
-from repro.sim import EXACT, HYBRID, Fidelity, activate_fastforward, resolve_fidelity
+from repro.devtools import stats_digest
+from repro.harness import EMULAB_DEFAULT, TOPOLOGIES, FlowSpec, run_flows
+from repro.obs import CollectingTracer, RingBufferTracer
+from repro.sim import activate_fastforward, resolve_fidelity
 from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, Path
-from repro.sim.link import Link
+from repro.sim.link import Link, LinkStats
+
+
+def link_counters(result) -> dict:
+    return {
+        link.name: {slot: getattr(link.stats, slot) for slot in LinkStats.__slots__}
+        for link in result.dumbbell.iter_links()
+    }
+
+
+def assert_collapse_matches_chain(specs, config, **kwargs):
+    """Run ``specs`` untraced and traced; require byte-identical outcomes.
+
+    Returns the untraced (collapsed where eligible) result.  The traced
+    run takes the packet chain, so its fired events must equal the
+    untraced run's fired plus virtual events.
+    """
+    collapsed = run_flows(specs, config, **kwargs)
+    chain = run_flows(specs, config, tracer=RingBufferTracer(capacity=1), **kwargs)
+    assert stats_digest(collapsed.stats) == stats_digest(chain.stats)
+    assert link_counters(collapsed) == link_counters(chain)
+    assert collapsed.metrics == chain.metrics
+    assert chain.dumbbell.sim.events_virtual == 0
+    sim = collapsed.dumbbell.sim
+    assert sim.events_fired + sim.events_virtual == chain.dumbbell.sim.events_fired
+    return collapsed
 
 
 # ----------------------------------------------------------------------
-# Configuration surface
+# The one remaining mode name
 # ----------------------------------------------------------------------
 def test_fidelity_mode_validation():
-    with pytest.raises(ValueError):
-        Fidelity(mode="fluid")
-    with pytest.raises(ValueError):
-        Fidelity(mode="hybrid", burst_packets=0)
-    with pytest.raises(ValueError):
-        Fidelity(mode="hybrid", burst_horizon_frac=0.0)
-    with pytest.raises(ValueError):
-        Fidelity(mode="hybrid", burst_horizon_frac=1.5)
+    for mode in ("hybrid", "fluid", ""):
+        with pytest.raises(ValueError):
+            resolve_fidelity(mode)
 
 
 def test_resolve_fidelity_passthrough_and_strings():
-    assert resolve_fidelity(EXACT) is EXACT
-    assert resolve_fidelity(HYBRID) is HYBRID
-    assert resolve_fidelity("exact") is EXACT
-    assert resolve_fidelity("hybrid") is HYBRID
-    with pytest.raises(ValueError):
-        resolve_fidelity("approximate")
+    assert resolve_fidelity().mode == "exact"
+    assert resolve_fidelity("exact") is resolve_fidelity(None)
 
 
 def test_resolve_fidelity_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FIDELITY", raising=False)
-    assert resolve_fidelity(None) is EXACT
+    # The mode is not configurable: no environment variable selects it.
     monkeypatch.setenv("REPRO_FIDELITY", "hybrid")
-    assert resolve_fidelity(None) is HYBRID
-    monkeypatch.setenv("REPRO_FIDELITY", "exact")
-    assert resolve_fidelity(None) is EXACT
-
-
-def test_fidelity_cache_keys_distinguish_every_knob():
-    keys = [
-        EXACT.key(),
-        HYBRID.key(),
-        Fidelity(mode="hybrid", burst_packets=64).key(),
-        Fidelity(mode="hybrid", burst_horizon_frac=0.5).key(),
-        Fidelity(mode="hybrid", use_numpy=False).key(),
-    ]
-    as_tuples = {tuple(sorted(k.items())) for k in keys}
-    assert len(as_tuples) == len(keys)
+    assert resolve_fidelity(None).mode == "exact"
 
 
 # ----------------------------------------------------------------------
@@ -85,58 +89,57 @@ class _NullSender:
         pass
 
 
+def _link(sim):
+    return Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
+
+
 def _wire(sim, n_flows: int, sizes=None):
-    fwd = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
-    rev = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
-    flows = []
-    for i in range(n_flows):
-        size = sizes[i] if sizes else None
-        flows.append(
-            Flow(
-                sim,
-                _NullSender(),
-                Path([fwd]),
-                Path([rev]),
-                flow_id=i + 1,
-                size_bytes=size,
-            )
+    fwd, rev = _link(sim), _link(sim)
+    return [
+        Flow(
+            sim,
+            _NullSender(),
+            Path([fwd]),
+            Path([rev]),
+            flow_id=i + 1,
+            size_bytes=sizes[i] if sizes else None,
         )
-    return flows
+        for i in range(n_flows)
+    ]
 
 
 def test_activate_noop_in_exact_mode():
-    sim = Simulator(check_invariants=False)
+    # A traced run takes the packet chain: no flow collapses.
+    sim = Simulator(check_invariants=False, tracer=CollectingTracer())
     flows = _wire(sim, 2)
     assert activate_fastforward(sim, flows) == 0
     assert not any(f.ff_collapse for f in flows)
 
 
 def test_activate_enables_all_unbounded_flows():
-    sim = Simulator(check_invariants=False, fidelity=HYBRID)
+    sim = Simulator(check_invariants=False)
     flows = _wire(sim, 3)
     assert activate_fastforward(sim, flows) == 3
     assert all(f.ff_collapse for f in flows)
 
 
 def test_one_bounded_flow_disables_the_whole_shared_link():
-    # A packet-exact flow sharing a link with collapsed traffic would
-    # see the transmitter pre-claimed at virtual future times, so one
-    # ineligible flow must veto every flow on its links.
-    sim = Simulator(check_invariants=False, fidelity=HYBRID)
+    # A packet-chain flow sharing a link with collapsed traffic would
+    # see the transmitter claimed ahead of the clock, so one ineligible
+    # flow must veto every flow on its links.
+    sim = Simulator(check_invariants=False)
     flows = _wire(sim, 3, sizes=[None, 100_000, None])
     assert activate_fastforward(sim, flows) == 0
     assert not any(f.ff_collapse for f in flows)
 
 
 def test_delivery_callback_disqualifies():
-    sim = Simulator(check_invariants=False, fidelity=HYBRID)
-    fwd = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
-    rev = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
+    sim = Simulator(check_invariants=False)
     flow = Flow(
         sim,
         _NullSender(),
-        Path([fwd]),
-        Path([rev]),
+        Path([_link(sim)]),
+        Path([_link(sim)]),
         on_delivery=lambda now, n: None,
     )
     assert activate_fastforward(sim, [flow]) == 0
@@ -144,11 +147,8 @@ def test_delivery_callback_disqualifies():
 
 
 def test_multihop_path_disqualifies():
-    sim = Simulator(check_invariants=False, fidelity=HYBRID)
-    a = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
-    b = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
-    rev = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
-    flow = Flow(sim, _NullSender(), Path([a, b]), Path([rev]))
+    sim = Simulator(check_invariants=False)
+    flow = Flow(sim, _NullSender(), Path([_link(sim), _link(sim)]), Path([_link(sim)]))
     assert activate_fastforward(sim, [flow]) == 0
 
 
@@ -157,14 +157,25 @@ def test_dynamic_link_disqualifies():
     # closed form: can_fastforward is False and the flow stays exact.
     from repro.sim import DynamicLink, TailDropDiscipline
 
-    sim = Simulator(check_invariants=False, fidelity=HYBRID)
+    sim = Simulator(check_invariants=False)
     fwd = DynamicLink(
         sim, rate_bps=10e6, delay_s=0.01, discipline=TailDropDiscipline(50_000)
     )
-    rev = Link(sim, bandwidth_bps=10e6, delay_s=0.01, buffer_bytes=50_000)
-    flow = Flow(sim, _NullSender(), Path([fwd]), Path([rev]))
+    flow = Flow(sim, _NullSender(), Path([fwd]), Path([_link(sim)]))
     assert activate_fastforward(sim, [flow]) == 0
     assert not flow.ff_collapse
+
+
+def test_shared_reverse_link_needs_one_forward_link():
+    # ACKs of two forward links would enter a shared reverse link in
+    # send order, not in delivery order: neither flow collapses.
+    sim = Simulator(check_invariants=False)
+    rev = _link(sim)
+    flows = [
+        Flow(sim, _NullSender(), Path([_link(sim)]), Path([rev]), flow_id=i)
+        for i in (1, 2)
+    ]
+    assert activate_fastforward(sim, flows) == 0
 
 
 # ----------------------------------------------------------------------
@@ -173,150 +184,109 @@ def test_dynamic_link_disqualifies():
 SPECS = [FlowSpec("cubic"), FlowSpec("proteus-s", start_time=1.0)]
 
 
-def _run(fidelity, tracer=None, duration_s=4.0):
+def _run(tracer=None, duration_s=4.0):
     return run_flows(
-        SPECS,
-        EMULAB_DEFAULT,
-        duration_s=duration_s,
-        seed=7,
-        fidelity=fidelity,
-        tracer=tracer,
+        SPECS, EMULAB_DEFAULT, duration_s=duration_s, seed=7, tracer=tracer
     )
 
 
 def test_hybrid_absorbs_events_virtually():
-    exact = _run(EXACT)
-    hybrid = _run(HYBRID)
-    assert exact.dumbbell.sim.events_virtual == 0
-    sim = hybrid.dumbbell.sim
+    collapsed = _run()
+    chain = _run(tracer=RingBufferTracer(capacity=1))
+    sim = collapsed.dumbbell.sim
+    assert chain.dumbbell.sim.events_virtual == 0
     assert sim.events_virtual > 0
-    # Fewer real dispatches, but the virtual ledger keeps the effective
-    # count in the same regime as the exact run (hybrid may legitimately
-    # send slightly fewer packets near MI edges).
-    assert sim.events_fired < exact.dumbbell.sim.events_fired
-    effective = sim.events_fired + sim.events_virtual
-    assert effective > 0.8 * exact.dumbbell.sim.events_fired
+    # One skipped data-delivery dispatch per collapsed packet: the
+    # effective count is exactly the packet chain's.
+    assert sim.events_fired < chain.dumbbell.sim.events_fired
+    assert sim.events_fired + sim.events_virtual == chain.dumbbell.sim.events_fired
 
 
 def test_hybrid_throughput_close_to_exact():
-    # Individual flow shares on one seed are chaotic (exact runs with
-    # different seeds diverge just as much); the stable single-run
-    # signals are the aggregate throughput and the flow ordering.  The
-    # ensemble-mean deltas are pinned in tests/test_fidelity_acceptance.
-    exact = _run(EXACT, duration_s=8.0)
-    hybrid = _run(HYBRID, duration_s=8.0)
-    e_total = exact.throughput_mbps(0) + exact.throughput_mbps(1)
-    h_total = hybrid.throughput_mbps(0) + hybrid.throughput_mbps(1)
-    assert h_total == pytest.approx(e_total, rel=0.05), (
-        f"aggregate: hybrid {h_total:.2f} vs exact {e_total:.2f} Mbps"
+    # Not close: identical, flow by flow.
+    collapsed = assert_collapse_matches_chain(
+        SPECS, EMULAB_DEFAULT, duration_s=8.0, seed=7
     )
-    # The primary outcompetes the scavenger in both modes.
-    assert exact.throughput_mbps(0) > exact.throughput_mbps(1)
-    assert hybrid.throughput_mbps(0) > hybrid.throughput_mbps(1)
-
-
-def test_hybrid_emits_fastforward_tracepoints():
-    from repro.obs import CollectingTracer
-
-    tracer = CollectingTracer()
-    _run(HYBRID, tracer=tracer, duration_s=2.0)
-    ff = [ev for ev in tracer.events if ev.kind == "sim.fastforward"]
-    reasons = {ev.fields["reason"] for ev in ff}
-    assert "collapse" in reasons
-    # With a tracer attached the burst planner stays on the per-packet
-    # reference path, but the burst *dispatch* tracepoint still fires.
-    assert "burst" in reasons
+    assert collapsed.throughput_mbps(0) > collapsed.throughput_mbps(1)
 
 
 def test_exact_mode_emits_no_fastforward_tracepoints():
-    from repro.obs import CollectingTracer
-
+    # A traced run keeps a link.enqueue for every data packet and ACK.
     tracer = CollectingTracer()
-    _run(EXACT, tracer=tracer, duration_s=2.0)
-    assert not any(ev.kind == "sim.fastforward" for ev in tracer.events)
+    result = _run(tracer=tracer, duration_s=2.0)
+    kinds = {ev.kind for ev in tracer.events}
+    assert "sim.fastforward" not in kinds
+    enqueues = sum(1 for ev in tracer.events if ev.kind == "link.enqueue")
+    offered = sum(link.stats.offered for link in result.dumbbell.iter_links())
+    assert enqueues == offered - sum(
+        link.stats.tail_drops + link.stats.outage_drops
+        for link in result.dumbbell.iter_links()
+    )
 
 
 def test_hybrid_deterministic_per_fidelity():
-    a = _run(HYBRID)
-    b = _run(HYBRID)
-    for sa, sb in zip(a.stats, b.stats):
-        assert sa.delivered_bytes == sb.delivered_bytes
-        assert list(sa.rtts) == list(sb.rtts)
-        assert list(sa.loss_times) == list(sb.loss_times)
-
-
-def test_numpy_and_python_burst_planners_agree():
-    # burst_packets=64 clears MIN_NUMPY_BURST so the vectorized planner
-    # actually engages; the pure-Python path is the reference.
-    pytest.importorskip("numpy")
-    from repro.sim import flowstate
-
-    assert flowstate.numpy_available()
-    np_fid = Fidelity(mode="hybrid", burst_packets=64, use_numpy=True)
-    py_fid = Fidelity(mode="hybrid", burst_packets=64, use_numpy=False)
-    with_np = _run(np_fid)
-    with_py = _run(py_fid)
-    for sa, sb in zip(with_np.stats, with_py.stats):
-        assert sa.packets_sent == pytest.approx(sb.packets_sent, rel=0.01)
-        assert sa.delivered_bytes == pytest.approx(sb.delivered_bytes, rel=0.01)
-
-
-def test_fidelity_is_part_of_the_cache_key(tmp_path):
-    from repro.harness.cache import enable_cache, reset_cache_state
-
-    try:
-        cache = enable_cache(tmp_path)
-        run_flows(SPECS, EMULAB_DEFAULT, duration_s=2.0, seed=3, fidelity=EXACT)
-        assert cache.stats()["misses"] == 1
-        run_flows(SPECS, EMULAB_DEFAULT, duration_s=2.0, seed=3, fidelity=HYBRID)
-        # The hybrid run must not hit the exact run's record.
-        assert cache.stats()["misses"] == 2
-        run_flows(SPECS, EMULAB_DEFAULT, duration_s=2.0, seed=3, fidelity=HYBRID)
-        assert cache.stats()["hits"] == 1
-    finally:
-        reset_cache_state()
+    a = _run()
+    b = _run()
+    assert stats_digest(a.stats) == stats_digest(b.stats)
+    assert a.dumbbell.sim.events_virtual == b.dumbbell.sim.events_virtual
 
 
 # ----------------------------------------------------------------------
-# Conservative-veto property: vetoed scenarios are byte-identical
+# Differential gate: collapsed == packet chain, byte for byte
 # ----------------------------------------------------------------------
 def test_hybrid_is_byte_identical_when_topology_vetoes():
-    """Multi-hop and DynamicLink paths veto fast-forward, so a hybrid
-    run of any such scenario must be *byte-identical* to the exact run
-    — not merely close — with zero virtual events."""
-    from repro.devtools import stats_digest
-    from repro.harness import TOPOLOGIES
+    """Every topology preset: multi-hop and DynamicLink paths veto
+    collapse (zero virtual events); a plain dumbbell collapses."""
+    for name, preset in sorted(TOPOLOGIES.items()):
+        result = assert_collapse_matches_chain(
+            SPECS, EMULAB_DEFAULT, duration_s=3.0, seed=5, topology=preset()
+        )
+        assert result.dumbbell.sim.events_virtual == 0, name
+    dumbbell = assert_collapse_matches_chain(
+        SPECS, EMULAB_DEFAULT, duration_s=3.0, seed=5
+    )
+    assert dumbbell.dumbbell.sim.events_virtual > 0
 
-    for name in ("parking-lot", "parking-lot-codel", "shared-core",
-                 "dumbbell-codel", "dumbbell-red"):
-        spec = TOPOLOGIES[name]()
-        exact = run_flows(
-            SPECS, EMULAB_DEFAULT, duration_s=3.0, seed=5,
-            fidelity=EXACT, topology=spec,
-        )
-        hybrid = run_flows(
-            SPECS, EMULAB_DEFAULT, duration_s=3.0, seed=5,
-            fidelity=HYBRID, topology=spec,
-        )
-        assert stats_digest(exact.stats) == stats_digest(hybrid.stats), name
-        # The veto held: the hybrid engine never fast-forwarded.
-        assert hybrid.dumbbell.sim.events_virtual == 0, name
+
+@pytest.mark.parametrize(
+    "timeline_steps",
+    [
+        # A bandwidth step on the bottleneck and one on the reverse link
+        # (a fast-forward barrier for the ACK legs).
+        "bandwidth",
+        # An outage and a loss window on the reverse link: collapsed ACK
+        # legs must stand down while the link drops or draws randomness.
+        "reverse-impairments",
+    ],
+)
+def test_collapse_is_byte_identical_across_barriers(timeline_steps):
+    from repro.harness import BandwidthStep, LossStep, Outage, Timeline
+
+    steps = {
+        "bandwidth": (
+            BandwidthStep(at_s=1.5, bandwidth_mbps=20.0),
+            BandwidthStep(at_s=2.2, bandwidth_mbps=5.0, link="reverse"),
+        ),
+        "reverse-impairments": (
+            Outage(start_s=1.2, end_s=1.4, link="reverse"),
+            LossStep(at_s=2.0, loss_rate=0.02, link="reverse"),
+            LossStep(at_s=2.5, loss_rate=0.0, link="reverse"),
+        ),
+    }[timeline_steps]
+    result = assert_collapse_matches_chain(
+        SPECS, EMULAB_DEFAULT, duration_s=3.5, seed=9, timeline=Timeline(steps)
+    )
+    assert result.dumbbell.sim.events_virtual > 0
 
 
 def test_hybrid_is_byte_identical_under_dynamic_link_timeline():
     """A timeline-scripted run over a DynamicLink bottleneck (dumbbell
     with an AQM) exercises the other veto axis: link dynamics."""
-    from repro.devtools import stats_digest
-    from repro.harness import BandwidthStep, Timeline, TOPOLOGIES
+    from repro.harness import BandwidthStep, Timeline
 
     timeline = Timeline((BandwidthStep(at_s=1.5, bandwidth_mbps=20.0),))
-    spec = TOPOLOGIES["dumbbell-codel"]()
-    runs = [
-        run_flows(
-            SPECS, EMULAB_DEFAULT, duration_s=3.0, seed=9,
-            fidelity=fid, topology=spec, timeline=timeline,
-        )
-        for fid in (EXACT, HYBRID)
-    ]
-    assert stats_digest(runs[0].stats) == stats_digest(runs[1].stats)
-    assert runs[1].dumbbell.sim.events_virtual == 0
+    result = assert_collapse_matches_chain(
+        SPECS, EMULAB_DEFAULT, duration_s=3.0, seed=9,
+        topology=TOPOLOGIES["dumbbell-codel"](), timeline=timeline,
+    )
+    assert result.dumbbell.sim.events_virtual == 0

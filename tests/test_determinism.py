@@ -1,7 +1,7 @@
 """Determinism regression gate: same seed, bit-identical traces.
 
 Every stochastic draw in the simulator flows through a seeded
-:class:`repro.sim.rng.Rng`, so re-running a scenario with the same seed
+:class:`repro.core.rng.Rng`, so re-running a scenario with the same seed
 must reproduce every ACK time, RTT sample and loss event exactly.  These
 tests run each scenario ``--determinism-repeats`` times (default 2) and
 compare sha256 digests over the exact ``float.hex()`` trace values —

@@ -31,7 +31,7 @@ def test_goal_2_performance():
 
 def test_goal_3_flexibility():
     """One codebase: the same sender class runs all three modes."""
-    from repro.core import ProteusSender
+    from repro.protocols import ProteusSender
 
     sender = ProteusSender("proteus-s")
     sender.set_utility("proteus-p")
