@@ -31,6 +31,16 @@ def short_run():
 # ----------------------------------------------------------------------
 # Keyword-only tail arguments
 # ----------------------------------------------------------------------
+def test_positional_tail_warns_and_matches_keyword(short_run):
+    # The tail no longer warns: a positional tail is a TypeError before
+    # anything runs, and the keyword form reproduces the same run.
+    with pytest.raises(TypeError, match="positional argument"):
+        run_flows([FlowSpec("cubic")], CONFIG, 6.0, 3)
+    keyword = run_flows([FlowSpec("cubic")], CONFIG, duration_s=6.0, seed=3)
+    assert keyword.throughputs_mbps() == short_run.throughputs_mbps()
+    assert keyword.duration_s == short_run.duration_s
+
+
 def test_too_many_positionals_is_an_error():
     # Everything after the scenario arguments is keyword-only: a
     # positional tail argument is a TypeError at every entry point.
@@ -45,6 +55,37 @@ def test_too_many_positionals_is_an_error():
     for call in calls:
         with pytest.raises(TypeError, match="positional argument"):
             call()
+
+
+def test_run_single_shim():
+    # run_single takes its tail by keyword only; the keyword call is the
+    # same run as one flow through run_flows.
+    with pytest.raises(TypeError, match="positional argument"):
+        run_single("cubic", CONFIG, 5.0, 2)
+    keyword = run_single("cubic", CONFIG, duration_s=5.0, seed=2)
+    flows = run_flows([FlowSpec("cubic")], CONFIG, duration_s=5.0, seed=2)
+    assert keyword.throughputs_mbps() == flows.throughputs_mbps()
+
+
+def test_run_homogeneous_shim():
+    with pytest.raises(TypeError, match="positional argument"):
+        run_homogeneous("cubic", 2, CONFIG, 1.0, 4.0, 2)
+    keyword = run_homogeneous(
+        "cubic", 2, CONFIG, stagger_s=1.0, measure_s=4.0, seed=2
+    )
+    assert len(keyword.throughputs_mbps()) == 2
+    assert all(mbps > 0 for mbps in keyword.throughputs_mbps())
+
+
+def test_run_pair_shim():
+    with pytest.raises(TypeError, match="positional argument"):
+        run_pair("cubic", "proteus-s", CONFIG, 6.0, 1.0, 2, 1)
+    keyword = run_pair(
+        "cubic", "proteus-s", CONFIG,
+        duration_s=6.0, scavenger_start_s=1.0, seed=2, jobs=1,
+    )
+    assert isinstance(keyword, PairResult)
+    assert keyword.primary_solo_mbps > 0
 
 
 def test_positional_and_keyword_conflict_is_an_error():
