@@ -10,7 +10,6 @@ for chunked workloads).
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Protocol
 
 from .engine import Simulator
@@ -227,13 +226,10 @@ class Flow:
         state than the chain's would: on a link that draws randomness or
         is down, at or past the reverse link's next timeline event or the
         run horizon, or while an earlier packet-chain delivery on the link
-        is still pending.
-
-        Both collapsed link legs are :meth:`Link.admit` inlined for a
-        static link with no tracer (collapse requires both): the same
-        arithmetic in the same order, without the per-packet calls and
-        data packet object, which the Fig-6 sweep pays for on every
-        packet.
+        is still pending.  One order is not reproduced: an event scheduled
+        between the send and the delivery for exactly the ACK's arrival
+        time fires before the ACK on the packet chain and after it here
+        (see docs/PERFORMANCE.md).
         """
         sim = self.sim
         now = sim.now
@@ -243,54 +239,28 @@ class Flow:
         stats.packets_sent += 1  # record_send, inlined
         if self.bytes_unsent != _INF:
             self.bytes_unsent -= size_bytes
+        packet = Packet(
+            flow_id=self.flow_id, seq=seq, size_bytes=size_bytes, sent_time=now
+        )
+        if not self.ff_collapse:
+            return seq, self.forward_path.send(packet, self.receiver)
         fwd = self.ff_fwd
         rev = self.ff_rev
-        if not (
-            self.ff_collapse
-            and fwd.loss_model is None
-            and fwd.noise is None
-            and fwd.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
-            and not fwd._down
-            and rev.loss_model is None
-            and rev.noise is None
-            and rev.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
-            and not rev._down
-        ):
-            packet = Packet(
-                flow_id=self.flow_id, seq=seq, size_bytes=size_bytes, sent_time=now
-            )
-            if not self.ff_collapse:
-                return seq, self.forward_path.send(packet, self.receiver)
+        if not (_is_static(fwd) and _is_static(rev)):
             accepted = fwd.send(packet, self.receiver)
             fwd.ff_hold_s = fwd._last_delivery
             return seq, accepted
-        # ---- forward leg ----
-        fwd_stats = fwd.stats
-        fwd_stats.offered += 1
-        bw = fwd.bandwidth_bps
-        busy = fwd._busy_until
-        backlog = (busy - now) * bw / 8.0 if busy > now else 0.0
-        if backlog + size_bytes > fwd.buffer_bytes + 1e-6:
-            fwd_stats.tail_drops += 1
+        # A static link never loses on the wire: the result is a time or
+        # a tail drop.
+        deliver_at = fwd.admit(packet, now)
+        if deliver_at is None:
             return seq, False
-        if backlog + size_bytes > fwd_stats.max_backlog_bytes:
-            fwd_stats.max_backlog_bytes = backlog + size_bytes
-        start = busy if busy > now else now
-        fwd._busy_until = busy = start + size_bytes * 8.0 / bw
-        deliver_at = busy + fwd.delay_s
-        if deliver_at <= fwd._last_delivery:
-            deliver_at = fwd._last_delivery + 1e-9
-        fwd._last_delivery = deliver_at
-        fwd_stats.delivered += 1
         if not (
             deliver_at < rev.ff_barrier_s
             and deliver_at < sim.horizon_s
             and now > fwd.ff_hold_s
         ):
             fwd.ff_hold_s = deliver_at
-            packet = Packet(
-                flow_id=self.flow_id, seq=seq, size_bytes=size_bytes, sent_time=now
-            )
             sim.schedule_fast_at(deliver_at, self.receiver.receive, packet)
             return seq, True
         # ---- receiver (FlowReceiver.receive at deliver_at) ----
@@ -303,24 +273,6 @@ class Flow:
         # The skipped data-delivery dispatch, whether or not the ACK
         # also survives the reverse link.
         sim.events_virtual += 1
-        # ---- reverse (ACK) leg, admitted at deliver_at ----
-        rev_stats = rev.stats
-        rev_stats.offered += 1
-        bw = rev.bandwidth_bps
-        busy = rev._busy_until
-        backlog = (busy - deliver_at) * bw / 8.0 if busy > deliver_at else 0.0
-        if backlog + ACK_BYTES > rev.buffer_bytes + 1e-6:
-            rev_stats.tail_drops += 1
-            return seq, True
-        if backlog + ACK_BYTES > rev_stats.max_backlog_bytes:
-            rev_stats.max_backlog_bytes = backlog + ACK_BYTES
-        start = busy if busy > deliver_at else deliver_at
-        rev._busy_until = busy = start + ACK_BYTES * 8.0 / bw
-        ack_at = busy + rev.delay_s
-        if ack_at <= rev._last_delivery:
-            ack_at = rev._last_delivery + 1e-9
-        rev._last_delivery = ack_at
-        rev_stats.delivered += 1
         ack = Packet(
             flow_id=self.flow_id,
             seq=receiver._ack_seq,
@@ -331,12 +283,9 @@ class Flow:
             data_sent_time=now,
             data_recv_time=deliver_at,
         )
-        # schedule_fast_at, inlined: ack_at > deliver_at > now, so its
-        # past-time clamp can never trigger here.
-        sim._seq += 1
-        heapq.heappush(
-            sim._heap, (ack_at, sim._seq, self.sender.handle_ack_packet, (ack,), None)
-        )
+        ack_at = rev.admit(ack, deliver_at)
+        if ack_at is not None:
+            sim.schedule_fast_at(ack_at, self.sender.handle_ack_packet, ack)
         return seq, True
 
     def requeue_bytes(self, nbytes: int) -> None:
@@ -374,6 +323,16 @@ class Flow:
             self.forward_path.min_base_delay()
             + self.reverse_path.min_base_delay()
         )
+
+
+def _is_static(link: Link) -> bool:
+    """True when ``link`` neither draws randomness nor is down."""
+    return (
+        link.loss_model is None
+        and link.noise is None
+        and link.loss_rate == 0.0  # repro: noqa[no-float-eq] — gate, not math
+        and not link._down
+    )
 
 
 def activate_fastforward(sim: Simulator, flows) -> int:

@@ -223,11 +223,9 @@ class Link:
         and noise draws and ``link.*`` trace events.  Returns the delivery
         time, ``inf`` when the packet was accepted but lost on the wire,
         or ``None`` on a tail or outage drop.  :meth:`send` schedules the
-        delivery.  ``Flow.transmit`` inlines this routine for the
-        collapsed packet legs of static links (see
-        :func:`repro.sim.flow.activate_fastforward`), the ACK leg with
-        ``at_s`` ahead of the clock; the two must stay the same
-        arithmetic in the same order.
+        delivery.  The collapsed packet legs of ``Flow.transmit`` (see
+        :func:`repro.sim.flow.activate_fastforward`) use the value
+        directly, the ACK leg with ``at_s`` ahead of the clock.
         """
         tracer = self.sim.tracer
         stats = self.stats
