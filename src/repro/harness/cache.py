@@ -12,15 +12,19 @@ installed ``repro`` package.  Re-running an unchanged benchmark is a
 cache hit; *any* source edit changes the digest and invalidates every
 entry cleanly (stale entries are simply never addressed again).
 
-Floats are serialised via ``float.hex()`` — exact representation, no
-rounding — so a cache round-trip is byte-identical to recomputation and
-the determinism digest gate (``repro.devtools.trace_digest``) cannot
-tell them apart.  A corrupt or truncated cache entry is treated as a
-miss and recomputed, never an error; on first detection the torn file is
-**quarantined** (moved aside to ``<key>.corrupt``) so every later run
-under the same key is a clean miss instead of a re-read/re-parse/re-fail
-cycle.  Quarantines are counted in :meth:`ResultCache.stats` and
-surfaced by ``repro bench``.
+Each flow's sample series (``ack_times``, ``rtts``, ``loss_times`` as
+``'d'``, ``acked_bytes`` as ``'q'``) is stored as base64 of the array's
+little-endian bytes, and every scalar float via ``float.hex()``.  Both
+are exact — no rounding — so a cache round-trip is byte-identical to
+recomputation and the determinism digest gate
+(``repro.devtools.trace_digest``) cannot tell them apart.  A packed
+sample costs 8 bytes plus base64's third, and a series decodes in one
+``array.frombytes`` call.  A corrupt or truncated cache entry is treated
+as a miss and recomputed, never an error; on first detection the torn
+file is **quarantined** (moved aside to ``<key>.corrupt``) so every
+later run under the same key is a clean miss instead of a
+re-read/re-parse/re-fail cycle.  Quarantines are counted in
+:meth:`ResultCache.stats` and surfaced by ``repro bench``.
 
 The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 ``REPRO_CACHE_DIR``), or call :func:`enable_cache` programmatically.
@@ -29,16 +33,18 @@ The cache is opt-in: set ``REPRO_CACHE=1`` (and optionally
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
+import sys
 from array import array
 from pathlib import Path
 from typing import Any, Iterable
 
 from ..sim.trace import FlowStats
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # ----------------------------------------------------------------------
 # Source-tree digest
@@ -73,10 +79,32 @@ def reset_source_digest_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# FlowStats (de)serialisation — exact float round-trip via float.hex()
+# FlowStats (de)serialisation — exact, via float.hex() and packed arrays
 # ----------------------------------------------------------------------
-def _hex_list(values: Iterable[float]) -> list[str]:
-    return [float(v).hex() for v in values]
+# The on-disk byte order of packed arrays is little-endian on every host.
+_SWAP = sys.byteorder != "little"
+
+
+def _pack(typecode: str, values: Iterable) -> str:
+    """Base64 of ``values`` as little-endian ``typecode`` items."""
+    packed = array(typecode, values)
+    if _SWAP:
+        packed.byteswap()
+    return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def _unpack(typecode: str, text: str) -> array:
+    """Inverse of :func:`_pack`.
+
+    Raises ``ValueError`` (``binascii.Error`` for bad base64, or a byte
+    count that is not a whole number of items) or ``TypeError`` for a
+    non-string, so the cache treats the entry as corrupt.
+    """
+    values = array(typecode)
+    values.frombytes(base64.b64decode(text, validate=True))
+    if _SWAP:
+        values.byteswap()
+    return values
 
 
 def hex_floats(value: Any) -> Any:
@@ -132,14 +160,14 @@ def stats_to_record(stats: FlowStats) -> dict:
         "flow_id": stats.flow_id,
         "start_time": float(stats.start_time).hex(),
         "end_time": _opt_hex(stats.end_time),
-        "ack_times": _hex_list(stats.ack_times),
-        "acked_bytes": list(stats.acked_bytes),
-        "rtts": _hex_list(stats.rtts),
+        "ack_times": _pack("d", stats.ack_times),
+        "acked_bytes": _pack("q", stats.acked_bytes),
+        "rtts": _pack("d", stats.rtts),
         "total_acked_bytes": stats.total_acked_bytes,
         "delivered_bytes": stats.delivered_bytes,
         "first_delivery": _opt_hex(stats.first_delivery),
         "last_delivery": _opt_hex(stats.last_delivery),
-        "loss_times": _hex_list(stats.loss_times),
+        "loss_times": _pack("d", stats.loss_times),
         "packets_sent": stats.packets_sent,
     }
 
@@ -149,14 +177,14 @@ def stats_from_record(record: dict) -> FlowStats:
     stats = FlowStats(flow_id=record["flow_id"])
     stats.start_time = float.fromhex(record["start_time"])
     stats.end_time = _opt_unhex(record["end_time"])
-    stats.ack_times = array("d", (float.fromhex(v) for v in record["ack_times"]))
-    stats.acked_bytes = array("q", record["acked_bytes"])
-    stats.rtts = array("d", (float.fromhex(v) for v in record["rtts"]))
+    stats.ack_times = _unpack("d", record["ack_times"])
+    stats.acked_bytes = _unpack("q", record["acked_bytes"])
+    stats.rtts = _unpack("d", record["rtts"])
     stats.total_acked_bytes = record["total_acked_bytes"]
     stats.delivered_bytes = record["delivered_bytes"]
     stats.first_delivery = _opt_unhex(record["first_delivery"])
     stats.last_delivery = _opt_unhex(record["last_delivery"])
-    stats.loss_times = array("d", (float.fromhex(v) for v in record["loss_times"]))
+    stats.loss_times = _unpack("d", record["loss_times"])
     stats.packets_sent = record["packets_sent"]
     return stats
 
@@ -234,39 +262,30 @@ class ResultCache:
         return record
 
     def store(self, key: str, record: dict) -> None:
+        """Write ``record`` under ``key`` atomically.
+
+        Each writer process gets its own temporary file next to the
+        entry, so concurrent stores of one key (parallel trials sharing
+        a solo baseline) never share a file: each rename publishes one
+        complete entry, and the last one wins.
+        """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps({"schema": SCHEMA_VERSION, **record}))
-        tmp.replace(path)
-        self.stores += 1
-
-    # -- run-level helpers --------------------------------------------
-    def load_stats(self, key: str) -> list[FlowStats] | None:
-        """Rebuilt per-flow stats for ``key``; None on miss/corruption."""
-        record = self.load(key)
-        if record is None:
-            self.misses += 1
-            return None
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            stats = [stats_from_record(entry) for entry in record["stats"]]
-        except (KeyError, TypeError, ValueError, OverflowError):
-            self._quarantine(key)
-            self.misses += 1
-            return None  # corrupt entry: quarantined, fall back to recompute
-        self.hits += 1
-        return stats
-
-    def store_stats(self, key: str, stats: Iterable[FlowStats]) -> None:
-        self.store(key, {"stats": [stats_to_record(s) for s in stats]})
+            tmp.write_text(json.dumps({"schema": SCHEMA_VERSION, **record}))
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self.stores += 1
 
     def load_run(self, key: str) -> tuple[list[FlowStats], dict | None] | None:
         """Rebuilt stats plus the stored metrics snapshot for ``key``.
 
         Returns ``(stats, snapshot)`` on a hit (``snapshot`` is None for
-        records written by :meth:`store_stats`, which carry no metrics),
-        or None on miss/corruption — same hit/miss/quarantine accounting
-        as :meth:`load_stats`.
+        records stored without metrics), or None on a miss.  A record
+        that does not decode is quarantined and counted as a miss.
         """
         record = self.load(key)
         if record is None:

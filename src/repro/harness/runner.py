@@ -36,7 +36,7 @@ from ..sim import (
     activate_fastforward,
     make_rng,
 )
-from .cache import active_cache, hex_floats
+from .cache import ResultCache, active_cache, hex_floats
 from .parallel import ParallelExecutor
 from .scenarios import TOPOLOGIES, LinkConfig, Timeline, TopologySpec
 
@@ -321,23 +321,70 @@ def run_flows(
             _flows_payload(specs, config, duration_s, seed, timeline, topology)
         )
         if not observing:
-            cached = cache.load_run(key)
+            cached = _load_flows(cache, key, specs, config, duration_s, timeline, topology)
             if cached is not None:
-                cached_stats, snapshot = cached
-                events = [] if timeline is None else _applied_events(timeline, duration_s)
-                return RunResult(
-                    config, duration_s, cached_stats, None, specs,
-                    timeline=timeline, topology=topology, link_events=events,
-                    metrics_snapshot=snapshot,
-                )
+                return cached
+    return _simulate_flows(
+        cache, key, specs, config, duration_s, seed, timeline, topology,
+        tracer=tracer, metrics=metrics, sample_period_s=sample_period_s,
+        max_events=max_events, max_wall_s=max_wall_s,
+    )
+
+
+def _load_flows(
+    cache: ResultCache,
+    key: str,
+    specs: list[FlowSpec],
+    config: LinkConfig,
+    duration_s: float,
+    timeline: Timeline | None,
+    topology: TopologySpec | None,
+) -> RunResult | None:
+    """The lookup half of :func:`run_flows`: the cached run, or None.
+
+    Makes exactly one :meth:`ResultCache.load_run` call, so each run is
+    one lookup in the cache's hit/miss counters.
+    """
+    cached = cache.load_run(key)
+    if cached is None:
+        return None
+    stats, snapshot = cached
+    events = [] if timeline is None else _applied_events(timeline, duration_s)
+    return RunResult(
+        config, duration_s, stats, None, specs,
+        timeline=timeline, topology=topology, link_events=events,
+        metrics_snapshot=snapshot,
+    )
+
+
+def _simulate_flows(
+    cache: ResultCache | None,
+    key: str | None,
+    specs: list[FlowSpec],
+    config: LinkConfig,
+    duration_s: float,
+    seed: int,
+    timeline: Timeline | None = None,
+    topology: TopologySpec | None = None,
+    *,
+    tracer=None,
+    metrics: MetricsRegistry | None = None,
+    sample_period_s: float | None = None,
+    max_events: int | None = None,
+    max_wall_s: float | None = None,
+) -> RunResult:
+    """The simulate-and-store half of :func:`run_flows`: no lookup.
+
+    The run is stored under ``key`` when both ``cache`` and ``key`` are
+    given.  Periodic samples depend on ``sample_period_s``, which is not
+    part of the cache key, so a sampled run is never stored: a later
+    call with a different period would wrongly inherit its snapshot.
+    """
     result = _run_flows_live(
         specs, config, duration_s, seed, timeline,
         tracer=tracer, metrics=metrics, sample_period_s=sample_period_s,
         max_events=max_events, max_wall_s=max_wall_s, topology=topology,
     )
-    # Periodic samples depend on sample_period_s, which is not part of
-    # the cache key — never store a snapshot that a later call with a
-    # different period would wrongly inherit.
     if cache is not None and key is not None and sample_period_s is None:
         cache.store_run(key, result.stats, metrics=result.metrics_snapshot)
     return result
@@ -502,57 +549,34 @@ class PairResult:
         )
 
 
-def _pair_solo_metrics(
-    primary: str,
+def _leg_metrics(result: RunResult, window: tuple[float, float]) -> tuple:
+    """(per-flow throughputs, utilization, flow 0's p95 RTT) over ``window``."""
+    return (
+        result.throughputs_mbps(window),
+        result.utilization(window),
+        result.stats[0].rtt_percentile(95, *window),
+    )
+
+
+def _simulated_leg(
+    cache: ResultCache | None,
+    key: str | None,
+    specs: list[FlowSpec],
     config: LinkConfig,
     duration_s: float,
     seed: int,
+    timeline: Timeline | None,
+    topology: TopologySpec | None,
     window: tuple[float, float],
-    timeline: Timeline | None = None,
-    tracer=None,
-    topology: TopologySpec | None = None,
-) -> tuple[float, float]:
-    """Solo-baseline metrics measured over the *paired* run's window."""
-    solo = run_single(
-        primary, config, duration_s=duration_s, seed=seed, timeline=timeline,
-        tracer=tracer, topology=topology,
-    )
-    return (
-        solo.throughput_mbps(0, window),
-        solo.stats[0].rtt_percentile(95, *window),
-    )
+) -> tuple:
+    """Simulate (and store, when keyed) a ``run_pair`` run that missed.
 
-
-def _pair_joint_metrics(
-    primary: str,
-    scavenger: str,
-    config: LinkConfig,
-    duration_s: float,
-    scavenger_start_s: float,
-    seed: int,
-    timeline: Timeline | None = None,
-    tracer=None,
-    topology: TopologySpec | None = None,
-) -> tuple[float, float, float, float]:
-    paired = run_flows(
-        [
-            FlowSpec(primary, start_time=0.0),
-            FlowSpec(scavenger, start_time=scavenger_start_s),
-        ],
-        config,
-        duration_s=duration_s,
-        seed=seed,
-        timeline=timeline,
-        tracer=tracer,
-        topology=topology,
-    )
-    window = paired.measurement_window()
-    return (
-        paired.throughput_mbps(0, window),
-        paired.throughput_mbps(1, window),
-        paired.utilization(window),
-        paired.stats[0].rtt_percentile(95, *window),
-    )
+    Returns only the run's metrics, a small pickle when the call ran in
+    a pool worker.  It does not look the run up again: the caller
+    already did.
+    """
+    result = _simulate_flows(cache, key, specs, config, duration_s, seed, timeline, topology)
+    return _leg_metrics(result, window)
 
 
 def run_pair(
@@ -575,13 +599,15 @@ def run_pair(
     solo throughput), joint capacity utilization, and the 95th-percentile
     RTT ratio of the primary with vs without the scavenger (Fig 7).
 
-    The solo baseline and the paired run are independent simulations, so
-    they are dispatched concurrently when ``jobs``/``REPRO_JOBS`` allows;
-    with the result cache active the solo baseline — identical across
-    every scavenger sweep point — is computed once and reused.  With a
-    tracer attached both runs execute serially in-process instead, so
-    every event reaches the caller's tracer (worker processes cannot
-    stream into it).
+    The solo baseline and the paired run are independent simulations.
+    With the result cache active, both are first looked up in the
+    calling process — the solo baseline, identical across every
+    scavenger sweep point, is computed once and reused — and only the
+    misses are simulated, concurrently when ``jobs``/``REPRO_JOBS``
+    allows; a fully cached pair forks no pool.  With a tracer attached
+    both runs execute live and serially in-process instead, so every
+    event reaches the caller's tracer (worker processes cannot stream
+    into it).
     """
     if tracer is None:
         tracer = active_tracer()
@@ -595,40 +621,44 @@ def run_pair(
         last_start + DEFAULT_WARMUP_FRACTION * (duration_s - last_start),
         duration_s,
     )
+    runs = [
+        [FlowSpec(primary)],
+        [FlowSpec(primary, start_time=0.0), FlowSpec(scavenger, start_time=scavenger_start_s)],
+    ]
     if tracer is not None:
-        solo_mbps, solo_rtt = _pair_solo_metrics(
-            primary, config, duration_s, seed, window, timeline, tracer, topology,
-        )
-        with_scavenger, scavenger_mbps, util, paired_rtt = _pair_joint_metrics(
-            primary, scavenger, config, duration_s, scavenger_start_s, seed,
-            timeline, tracer, topology,
-        )
-    else:
-        (solo_mbps, solo_rtt), (with_scavenger, scavenger_mbps, util, paired_rtt) = (
-            ParallelExecutor(jobs).run_all(
-                [
-                    (
-                        _pair_solo_metrics,
-                        (primary, config, duration_s, seed, window, timeline,
-                         None, topology),
-                    ),
-                    (
-                        _pair_joint_metrics,
-                        (
-                            primary,
-                            scavenger,
-                            config,
-                            duration_s,
-                            scavenger_start_s,
-                            seed,
-                            timeline,
-                            None,
-                            topology,
-                        ),
-                    ),
-                ]
+        legs = [
+            _leg_metrics(
+                run_flows(
+                    specs, config, duration_s=duration_s, seed=seed,
+                    timeline=timeline, tracer=tracer, topology=topology,
+                ),
+                window,
             )
-        )
+            for specs in runs
+        ]
+    else:
+        cache = active_cache()
+        legs = [None] * len(runs)
+        missed, calls = [], []
+        for index, specs in enumerate(runs):
+            key = None
+            if cache is not None:
+                key = cache.key_for(
+                    _flows_payload(specs, config, duration_s, seed, timeline, topology)
+                )
+                hit = _load_flows(cache, key, specs, config, duration_s, timeline, topology)
+                if hit is not None:
+                    legs[index] = _leg_metrics(hit, window)
+                    continue
+            missed.append(index)
+            calls.append((
+                _simulated_leg,
+                (cache, key, specs, config, duration_s, seed, timeline, topology, window),
+            ))
+        if calls:
+            for index, leg in zip(missed, ParallelExecutor(jobs).run_all(calls)):
+                legs[index] = leg
+    ([solo_mbps], _, solo_rtt), ([with_scavenger, scavenger_mbps], util, paired_rtt) = legs
     ratio = with_scavenger / solo_mbps if solo_mbps > 0 else 0.0
     result = PairResult(
         primary_solo_mbps=solo_mbps,
